@@ -6,8 +6,8 @@
 //!
 //! * [`Replica`] — the replica automaton (Fig. 7), with memoization
 //!   (§10.1), gossip GC and local descriptor compaction (§10.2, see
-//!   [`Replica::compact`]), incremental gossip (§10.4), and
-//!   crash-recovery (§9.3);
+//!   [`Replica::compact`]), batched gossip pruned by acknowledgements
+//!   (§10.2 + §10.4, the default), and crash-recovery (§9.3);
 //! * [`ReplicaConfig::commute`] + [`SafeSubmitter`] — the commutativity-
 //!   exploiting variant (Fig. 11, §10.3) for `SafeUsers` workloads;
 //! * [`FrontEnd`] — the client front end (Fig. 6);

@@ -5,8 +5,9 @@
 //! `⟨"gossip", R, D, L, S⟩` carries the sender's received operations,
 //! done set, label function, and stable set. The summary-bearing variant
 //! [`BatchedGossipMsg`] (§10.2 + §10.4) carries `D` and `S` as
-//! [`IdSummary`] watermark vectors, `R`/`L` as deltas, and piggybacks the
-//! watermark handshake that lets the sender prune future batches.
+//! [`IdSummary`] watermark vectors, `R`/`L` pruned by what the receiver
+//! acknowledged, and piggybacks the `known` handshake that is the
+//! sender's own acknowledgement.
 
 use esds_core::{IdSummary, Label, OpDescriptor, OpId, ReplicaId};
 use serde::{Deserialize, Serialize};
@@ -65,8 +66,8 @@ impl<O> GossipMsg<O> {
         self.rcvd.len() + self.done.len() + self.labels.len() + self.stable.len()
     }
 
-    /// Whether the message carries no information (incremental gossip can
-    /// skip sending these).
+    /// Whether the message carries no information (what a recovering
+    /// replica sends).
     pub fn is_empty(&self) -> bool {
         self.entry_count() == 0
     }
@@ -77,9 +78,10 @@ impl<O> GossipMsg<O> {
 ///
 /// Relative to the snapshot message [`GossipMsg`]:
 ///
-/// * `R` and `L` are *deltas*: descriptors the receiver's advertised
-///   summary does not cover and labels that are new or lower than last
-///   shipped to this peer;
+/// * `R` and `L` are pruned by the receiver's acknowledgements: every
+///   descriptor its `known` handshakes do not cover, and the label of
+///   every operation it has not reported stable. Nothing depends on an
+///   earlier batch having arrived;
 /// * `D` and `S` are *complete* [`IdSummary`] encodings of the sender's
 ///   `done[r]`/`stable[r]` — O(#clients) bytes in steady state, and the
 ///   receiver folds in only the difference against what it has already
@@ -88,16 +90,24 @@ impl<O> GossipMsg<O> {
 /// * `known` is the **watermark handshake**: a summary of every
 ///   identifier the sender has received. The receiver records it and
 ///   prunes its next batch to this sender accordingly, so in steady state
-///   neither side re-ships history.
+///   neither side re-ships history;
+/// * `incarnation` and `acked` tie acknowledgements to one life of a
+///   replica: a restarted sender's handshakes replace its pre-crash ones,
+///   and a receiver ignores the knowledge of a batch pruned against its
+///   own previous life.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct BatchedGossipMsg<O> {
     /// Sending replica.
     pub from: ReplicaId,
-    /// `R` delta: descriptors not known to have reached the receiver.
+    /// The sender's incarnation (see `Replica::incarnation`).
+    pub incarnation: u64,
+    /// The receiver incarnation whose acknowledgements pruned `R`/`L`.
+    pub acked: u64,
+    /// `R`: descriptors the receiver has not acknowledged.
     pub rcvd: Vec<OpDescriptor<O>>,
     /// `D`: operations done at the sender, as a summary.
     pub done: IdSummary,
-    /// `L` delta: labels new or lowered since the last batch to this peer.
+    /// `L`: labels of operations the receiver has not reported stable.
     pub labels: Vec<(OpId, Label)>,
     /// `S`: operations stable at the sender, as a summary (the
     /// stable-prefix acknowledgement).
@@ -108,10 +118,12 @@ pub struct BatchedGossipMsg<O> {
 
 impl<O> BatchedGossipMsg<O> {
     /// Approximate wire size in bytes, comparable to
-    /// [`GossipMsg::approx_bytes`]. **Every** field is counted — the two
-    /// knowledge summaries, the handshake summary, and the deltas — so the
-    /// `tab_gossip_strategies` byte columns stay honest about the
-    /// handshake overhead batching adds.
+    /// [`GossipMsg::approx_bytes`]. Every payload field is counted — the
+    /// two knowledge summaries, the handshake summary, and `R`/`L` — so
+    /// the `tab_gossip_strategies` byte columns stay honest about the
+    /// handshake overhead batching adds. The fixed header (`from` and the
+    /// two incarnations) is left out, as [`GossipMsg::approx_bytes`]
+    /// leaves out `from`.
     pub fn approx_bytes(&self) -> usize {
         let desc_bytes: usize = self.rcvd.iter().map(OpDescriptor::approx_bytes).sum();
         desc_bytes
@@ -129,7 +141,7 @@ impl<O> BatchedGossipMsg<O> {
 /// [`crate::Replica::on_gossip_envelope`] consumes it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum GossipEnvelope<O> {
-    /// A full or incremental `(R, D, L, S)` snapshot.
+    /// A full `(R, D, L, S)` snapshot.
     Snapshot(GossipMsg<O>),
     /// A batched delta with summary watermarks.
     Batched(BatchedGossipMsg<O>),
@@ -215,6 +227,8 @@ mod tests {
         let id = OpId::new(ClientId(0), 0);
         let b: BatchedGossipMsg<()> = BatchedGossipMsg {
             from: ReplicaId(0),
+            incarnation: 0,
+            acked: 0,
             rcvd: vec![OpDescriptor::new(id, ())],
             done: IdSummary::from_ids([id]),
             labels: vec![(id, Label::new(0, ReplicaId(0)))],
@@ -239,6 +253,8 @@ mod tests {
             .collect();
         let b: BatchedGossipMsg<()> = BatchedGossipMsg {
             from: ReplicaId(0),
+            incarnation: 0,
+            acked: 0,
             rcvd: vec![],
             done: done.clone(),
             labels: vec![],
@@ -261,6 +277,8 @@ mod tests {
         let id1 = OpId::new(ClientId(0), 1);
         let b: BatchedGossipMsg<()> = BatchedGossipMsg {
             from: ReplicaId(2),
+            incarnation: 0,
+            acked: 0,
             rcvd: vec![],
             done: IdSummary::from_ids([id0, id1]),
             labels: vec![(id0, Label::new(1, ReplicaId(2)))],

@@ -57,6 +57,7 @@
 //! fixpoint inside each event handler; this batching is a refinement that
 //! the conformance observer in `esds-harness` checks against `ESDS-II`.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use esds_core::{
@@ -71,28 +72,24 @@ use crate::messages::{BatchedGossipMsg, GossipEnvelope, GossipMsg, ResponseMsg};
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum GossipStrategy {
     /// The paper's algorithm: every gossip message carries the full
-    /// `(R, D, L, S)` snapshot.
-    #[default]
+    /// `(R, D, L, S)` snapshot. Kept as the ablation baseline and for the
+    /// model checker.
     Full,
-    /// Send only what changed since the last gossip to that peer. Safe on
-    /// reliable channels (the components are merged with commutative set
-    /// unions / label minima, so reordering is harmless), unsafe under
-    /// message loss.
-    Incremental,
-    /// §10.2 + §10.4 combined: accumulate
-    /// [`batch_interval`](ReplicaConfig::batch_interval) gossip intervals
-    /// into one [`BatchedGossipMsg`] per peer, open each exchange with an
-    /// [`IdSummary`] watermark handshake so descriptors the receiver's
-    /// summary covers are never re-shipped, carry `done`/`stable` as
-    /// summaries (the receiver folds in only the
-    /// [`IdSummary::difference`]), and piggyback stable-prefix
-    /// acknowledgements on the `stable` summary. Steady-state cost is
-    /// O(delta + #clients) per exchange instead of O(history). Like
-    /// [`Incremental`](GossipStrategy::Incremental), the `R`/`L` deltas
-    /// assume reliable in-order channels; on a send failure call
-    /// [`Replica::reset_watermark`] to rewind. Driven through
-    /// [`Replica::poll_gossip`]; [`Replica::make_gossip`] falls back to a
-    /// full snapshot (the always-safe resync message).
+    /// §10.2 + §10.4 combined, pruned by what the peer has
+    /// **acknowledged** (the multipart-timestamp acknowledgements of lazy
+    /// replication): accumulate
+    /// [`batch_interval`](ReplicaConfig::batch_interval) gossip ticks into
+    /// one self-contained [`BatchedGossipMsg`] per peer carrying every
+    /// descriptor the peer's latest `known` handshake does not cover, the
+    /// label of every operation the peer has not reported stable, and
+    /// complete `done`/`stable`/`known` [`IdSummary`]s. Nothing about what
+    /// was *sent* is remembered, so a lost, duplicated or reordered batch
+    /// is repaired by the next one, and the sender incarnation lets a
+    /// restarted peer's smaller handshake replace its pre-crash acks.
+    /// Steady-state cost is O(unacknowledged + #clients) per exchange
+    /// instead of O(history). Driven through [`Replica::poll_gossip`];
+    /// [`Replica::make_gossip`] still builds a full snapshot.
+    #[default]
     Batched,
 }
 
@@ -120,10 +117,12 @@ pub struct ReplicaConfig {
     pub value_strategy: ValueStrategy,
     /// Gossip construction strategy (§10.4).
     pub gossip: GossipStrategy,
-    /// Prune from gossip to peer `p` the `R`/`D`/`L` entries of operations
-    /// `r` knows are stable at `p` (§10.2/§10.4 memory & message GC). The
-    /// `S` component is never pruned (peers still count stability votes).
-    /// Incompatible with crash-recovery experiments (see `DESIGN.md`).
+    /// Prune from full-snapshot gossip to peer `p` the `R`/`D`/`L` entries
+    /// of operations `r` knows are stable at `p` (§10.2/§10.4 memory &
+    /// message GC). The `S` component is never pruned (peers still count
+    /// stability votes). Incompatible with crash recovery: the pruning
+    /// trusts stability knowledge a crashed peer has lost
+    /// ([`Replica::recover`] refuses it).
     pub gc_gossip: bool,
     /// Attach to each response a witness: the local label order up to the
     /// answered operation (used by the `esds-spec` checkers; costs memory).
@@ -148,7 +147,7 @@ impl Default for ReplicaConfig {
         ReplicaConfig {
             memoize: true,
             value_strategy: ValueStrategy::Recompute,
-            gossip: GossipStrategy::Full,
+            gossip: GossipStrategy::Batched,
             gc_gossip: false,
             record_witness: false,
             batch_interval: 1,
@@ -268,6 +267,10 @@ pub struct PrefixEntry<T: SerialDataType> {
 pub struct RestoreImage<T: SerialDataType> {
     /// The replica's identity.
     pub id: ReplicaId,
+    /// The incarnation the restored replica gossips under: it must exceed
+    /// that of every earlier incarnation which released anything, so
+    /// peers drop the acknowledgements those incarnations sent.
+    pub incarnation: u64,
     /// Label-counter floor: at least one past every label this replica
     /// ever released, so fresh labels never collide with pre-crash ones.
     pub next_counter: u64,
@@ -295,7 +298,8 @@ pub struct RespondEffect<V> {
     pub msg: ResponseMsg<V>,
 }
 
-/// Counters for the experiments (ablations A1/A3 in `DESIGN.md`).
+/// Counters for the experiments (the memoization and gossip ablations
+/// in `crates/bench`).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ReplicaStats {
     /// `do_it` actions performed.
@@ -321,11 +325,14 @@ pub struct ReplicaStats {
 }
 
 /// What a crashed replica retains in stable storage (paper §9.3): its label
-/// counter and the locally-generated labels that were system minima.
+/// counter, its incarnation, and the locally-generated labels that were
+/// system minima.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RecoveryStub {
     /// The replica's identity.
     pub id: ReplicaId,
+    /// The incarnation that crashed; [`Replica::recover`] starts the next.
+    pub incarnation: u64,
     /// Label-counter floor, so fresh labels never collide with pre-crash
     /// ones.
     pub next_counter: u64,
@@ -359,45 +366,26 @@ struct EagerState<T: SerialDataType> {
     vals: BTreeMap<OpId, T::Value>,
 }
 
-/// Per-peer incremental-gossip watermark: what has already been sent.
-#[derive(Clone, Debug, Default)]
-struct Watermark {
-    rcvd: BTreeSet<OpId>,
-    done: BTreeSet<OpId>,
-    labels: BTreeMap<OpId, Label>,
-    stable: BTreeSet<OpId>,
-}
-
-/// Per-peer batched-gossip state (§10.2/§10.4): what the peer has told us
-/// it holds, what we have shipped it, and what of its knowledge we have
-/// already folded in.
+/// Per-peer batched-gossip state (§10.2/§10.4): the peer's
+/// acknowledgements, and what of its knowledge we have already folded in.
+/// Nothing records what was *sent*, so no loss can strand a delta.
 #[derive(Clone, Debug, Default)]
 struct BatchState {
-    /// Identifiers the peer has received, from its `known` handshakes.
-    /// Descriptors these cover are never shipped to the peer.
-    peer_rcvd: IdSummary,
-    /// Identifiers whose descriptors we already shipped (suppresses
-    /// re-sends between handshake updates; unwound by
-    /// [`Replica::reset_watermark`] on connection loss).
-    sent_rcvd: IdSummary,
-    /// Lowest label shipped per operation (re-ship on decrease, like the
-    /// incremental strategy — the delta rule the checkers' in-flight
-    /// reasoning depends on).
-    sent_labels: BTreeMap<OpId, Label>,
+    /// The peer incarnation the acknowledgements below came from.
+    incarnation: u64,
+    /// Union of that incarnation's `known` handshakes: the peer holds
+    /// these descriptors, so they are never shipped to it.
+    known: IdSummary,
+    /// Union of that incarnation's `stable` summaries: the peer holds
+    /// these operations' frozen system-minimum labels (Invariant 7.19),
+    /// so their labels are never shipped to it.
+    stable: IdSummary,
     /// The peer's `done`/`stable` summaries already folded into our state;
     /// incoming summaries are diffed against these so receives cost
-    /// O(delta), not O(history).
+    /// O(delta), not O(history). They record facts, which outlive the
+    /// peer's restarts.
     seen_done: IdSummary,
     seen_stable: IdSummary,
-    /// Labels permanently retired from this peer's deltas: the op is
-    /// stable at the peer, so the peer holds its frozen system-minimum
-    /// label (Invariant 7.19) and the `sent_labels` entry can be dropped.
-    /// Lives in the batch state — not derived from `stable[peer]` at send
-    /// time — precisely so [`Replica::reset_watermark`] rewinds it: a
-    /// crashed-and-recovered peer lost its labels and must be sent them
-    /// again even though our (stale) knowledge still says it had them
-    /// stable.
-    label_gc: IdSummary,
     /// Gossip ticks accumulated since the last batched exchange.
     ticks: u32,
 }
@@ -441,7 +429,6 @@ pub struct Replica<T: SerialDataType> {
     /// Ops newly done at this replica since the last [`Replica::take_newly_done`]
     /// drain (harness instrumentation for the Lemma 9.2 experiments).
     newly_done: Vec<OpId>,
-    watermarks: BTreeMap<ReplicaId, Watermark>,
     /// Per-peer batched-gossip state (`GossipStrategy::Batched` only).
     batch: BTreeMap<ReplicaId, BatchState>,
     /// Summary of every identifier ever admitted to `rcvd` (never pruned
@@ -453,6 +440,14 @@ pub struct Replica<T: SerialDataType> {
     done_here_summary: IdSummary,
     /// `stable[r]` as a summary.
     stable_here_summary: IdSummary,
+    /// The largest label of an operation stable here: the §10.1 memo
+    /// boundary. Stable labels are frozen (Invariant 7.19), so it only
+    /// moves when an operation becomes stable.
+    stable_label_max: Option<Label>,
+    /// Which life of this replica is running: 0 when created, one more
+    /// at each [`Replica::recover`]. Batched gossip carries it so peers
+    /// replace a restarted replica's pre-crash acknowledgements.
+    incarnation: u64,
 
     /// Pending write-ahead-log delta (`Some` iff
     /// [`ReplicaConfig::durable`]); see [`WalDelta`].
@@ -512,11 +507,12 @@ impl<T: SerialDataType> Replica<T> {
             eager,
             eager_backlog: Vec::new(),
             newly_done: Vec::new(),
-            watermarks: BTreeMap::new(),
             batch: BTreeMap::new(),
             rcvd_summary: IdSummary::new(),
             done_here_summary: IdSummary::new(),
             stable_here_summary: IdSummary::new(),
+            stable_label_max: None,
+            incarnation: 0,
             wal_delta: config.durable.then(WalDelta::default),
             persisted_labels: BTreeMap::new(),
             recovering: None,
@@ -531,9 +527,10 @@ impl<T: SerialDataType> Replica<T> {
     pub fn recover(dt: T, stub: RecoveryStub, n: usize, config: ReplicaConfig) -> Self {
         assert!(
             !config.gc_gossip,
-            "crash recovery requires ungarbage-collected gossip (see DESIGN.md)"
+            "crash recovery requires ungarbage-collected gossip (gc_gossip trusts stability a crash erased)"
         );
         let mut r = Replica::new(dt, stub.id, n, config);
+        r.incarnation = stub.incarnation + 1;
         r.gen = LabelGenerator::from_counter(stub.id, stub.next_counter);
         r.persisted_labels = stub.local_min_labels.into_iter().collect();
         let peers: BTreeSet<ReplicaId> = (0..n as u32)
@@ -572,9 +569,10 @@ impl<T: SerialDataType> Replica<T> {
         );
         assert!(
             !config.gc_gossip,
-            "crash recovery requires ungarbage-collected gossip (see DESIGN.md)"
+            "crash recovery requires ungarbage-collected gossip (gc_gossip trusts stability a crash erased)"
         );
         let mut r = Replica::new(dt, img.id, n, config);
+        r.incarnation = img.incarnation;
         r.gen = LabelGenerator::from_counter(img.id, img.next_counter);
         let here = r.idx(img.id);
         // Labels first (the done marks debug-assert Invariant 7.5).
@@ -623,6 +621,12 @@ impl<T: SerialDataType> Replica<T> {
             .into_iter()
             .filter(|(id, _)| !prefix_ids.contains(id))
             .collect();
+        // Suffix operations were done here before the crash, so a fresh
+        // label must exceed theirs (do_it's precondition) even while they
+        // wait, unlabeled, for the recovery gate to re-do them.
+        for l in r.persisted_labels.values() {
+            r.gen.observe(*l);
+        }
         // The restore itself is already durable — drop its tracking.
         r.newly_done.clear();
         if let Some(w) = &mut r.wal_delta {
@@ -646,6 +650,7 @@ impl<T: SerialDataType> Replica<T> {
             .collect();
         RecoveryStub {
             id: self.id,
+            incarnation: self.incarnation,
             next_counter: self.gen.next_counter(),
             local_min_labels,
         }
@@ -723,6 +728,11 @@ impl<T: SerialDataType> Replica<T> {
     /// `lc_r` restricted to `done_r[r]` (Invariant 7.15).
     pub fn local_order(&self) -> Vec<OpId> {
         self.labels.ids_in_label_order()
+    }
+
+    /// Which life of this replica is running (see [`RecoveryStub`]).
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
     }
 
     /// Whether the replica is still waiting for post-recovery gossip.
@@ -834,9 +844,6 @@ impl<T: SerialDataType> Replica<T> {
             labels,
             stable,
         } = g;
-        let from_idx = self.idx(from);
-        let here = self.idx(self.id);
-
         // rcvd ← rcvd ∪ R.
         for d in rcvd {
             self.admit(d);
@@ -844,27 +851,42 @@ impl<T: SerialDataType> Replica<T> {
         // label_r ← min(label_r, L) — before the done-set updates so every
         // newly-done operation is labeled (Invariant 7.5).
         for (id, l) in labels {
-            let l = match self.persisted_labels.get(&id) {
-                Some(p) if *p < l => *p,
-                _ => l,
-            };
-            if self.labels.merge_min(id, l) {
-                self.record_label(id, l);
-            }
+            self.merge_label(id, l);
         }
+        self.fold_knowledge(from, &done, &stable);
+        self.step()
+    }
+
+    /// `label_r(id) ← min(label_r(id), l)`, never above a label this
+    /// replica released before a crash (§9.3).
+    fn merge_label(&mut self, id: OpId, l: Label) {
+        let l = match self.persisted_labels.get(&id) {
+            Some(p) if *p < l => *p,
+            _ => l,
+        };
+        if self.labels.merge_min(id, l) {
+            self.record_label(id, l);
+        }
+    }
+
+    /// Folds a gossip message's `D`/`S` knowledge from `from`, then counts
+    /// `from` as heard from by the §9.3 recovery gate.
+    fn fold_knowledge(&mut self, from: ReplicaId, done: &[OpId], stable: &[OpId]) {
+        let from_idx = self.idx(from);
+        let here = self.idx(self.id);
         // done_r[r'] ∪= D ∪ S ; done_r[r] ∪= D ∪ S ; done_r[i] ∪= S ∀i.
-        for x in done.iter().chain(stable.iter()) {
+        for x in done.iter().chain(stable) {
             self.mark_done_at(*x, from_idx);
             self.mark_done_at(*x, here);
         }
-        for x in &stable {
+        for x in stable {
             for i in 0..self.n {
                 self.mark_done_at(*x, i);
             }
         }
         // stable_r[r'] ∪= S ; stable_r[r] ∪= S (the ∩ᵢ done_r[i] part is
         // maintained incrementally by mark_done_at).
-        for x in &stable {
+        for x in stable {
             self.mark_stable_at(*x, from_idx);
             self.mark_stable_at(*x, here);
         }
@@ -889,16 +911,14 @@ impl<T: SerialDataType> Replica<T> {
                 self.recovering = None;
             }
         }
-        self.step()
     }
 
-    /// Builds the gossip message for `peer` (`send_{rr'}` in Fig. 7) and
-    /// updates incremental watermarks. A recovering replica gossips an
-    /// empty message (it has nothing trustworthy to say yet, but peers
-    /// learn it is alive). Under [`GossipStrategy::Batched`] this returns
-    /// the full snapshot — the always-safe resync message — because the
-    /// batched exchange (delta construction, pacing) lives in
-    /// [`Replica::poll_gossip`].
+    /// Builds the full-snapshot gossip message for `peer` (`send_{rr'}` in
+    /// Fig. 7), pruned only by [`gc_gossip`](ReplicaConfig::gc_gossip). A
+    /// recovering replica gossips an empty message (it has nothing
+    /// trustworthy to say yet, but peers learn it is alive). This is the
+    /// [`GossipStrategy::Full`] message whatever the configured strategy;
+    /// [`Replica::poll_gossip`] applies the strategy.
     pub fn make_gossip(&mut self, peer: ReplicaId) -> GossipMsg<T::Operator> {
         let here = self.idx(self.id);
         let msg = if self.recovering.is_some() {
@@ -910,66 +930,24 @@ impl<T: SerialDataType> Replica<T> {
                 stable: Vec::new(),
             }
         } else {
-            match self.config.gossip {
-                GossipStrategy::Full | GossipStrategy::Batched => {
-                    let peer_stable = &self.stable[self.idx(peer)];
-                    let skip =
-                        |id: &OpId| -> bool { self.config.gc_gossip && peer_stable.contains(id) };
-                    GossipMsg {
-                        from: self.id,
-                        rcvd: self
-                            .rcvd
-                            .values()
-                            .filter(|d| !skip(&d.id))
-                            .cloned()
-                            .collect(),
-                        done: self.done[here]
-                            .iter()
-                            .filter(|x| !skip(x))
-                            .copied()
-                            .collect(),
-                        labels: self.labels.iter().filter(|(id, _)| !skip(id)).collect(),
-                        // S is never pruned: peers still need stability votes.
-                        stable: self.stable[here].iter().copied().collect(),
-                    }
-                }
-                GossipStrategy::Incremental => {
-                    let wm = self.watermarks.entry(peer).or_default();
-                    let rcvd: Vec<_> = self
-                        .rcvd
-                        .values()
-                        .filter(|d| !wm.rcvd.contains(&d.id))
-                        .cloned()
-                        .collect();
-                    let done: Vec<_> = self.done[here]
-                        .iter()
-                        .filter(|x| !wm.done.contains(x))
-                        .copied()
-                        .collect();
-                    let labels: Vec<_> = self
-                        .labels
-                        .iter()
-                        .filter(|(id, l)| wm.labels.get(id).is_none_or(|sent| l < sent))
-                        .collect();
-                    let stable: Vec<_> = self.stable[here]
-                        .iter()
-                        .filter(|x| !wm.stable.contains(x))
-                        .copied()
-                        .collect();
-                    wm.rcvd.extend(rcvd.iter().map(|d| d.id));
-                    wm.done.extend(done.iter().copied());
-                    for (id, l) in &labels {
-                        wm.labels.insert(*id, *l);
-                    }
-                    wm.stable.extend(stable.iter().copied());
-                    GossipMsg {
-                        from: self.id,
-                        rcvd,
-                        done,
-                        labels,
-                        stable,
-                    }
-                }
+            let peer_stable = &self.stable[self.idx(peer)];
+            let skip = |id: &OpId| -> bool { self.config.gc_gossip && peer_stable.contains(id) };
+            GossipMsg {
+                from: self.id,
+                rcvd: self
+                    .rcvd
+                    .values()
+                    .filter(|d| !skip(&d.id))
+                    .cloned()
+                    .collect(),
+                done: self.done[here]
+                    .iter()
+                    .filter(|x| !skip(x))
+                    .copied()
+                    .collect(),
+                labels: self.labels.iter().filter(|(id, _)| !skip(id)).collect(),
+                // S is never pruned: peers still need stability votes.
+                stable: self.stable[here].iter().copied().collect(),
             }
         };
         self.stats.gossip_out += 1;
@@ -977,26 +955,24 @@ impl<T: SerialDataType> Replica<T> {
         msg
     }
 
-    /// Forgets the per-peer delta state for `peer` — the incremental
-    /// watermark and the batched handshake/sent summaries — so the next
-    /// gossip to it carries everything again. Called at every healthy
-    /// replica when `peer` recovers from a crash ("requesting new gossip",
-    /// §9.3) and by transports when a connection to `peer` drops (a lost
-    /// delta would otherwise never be re-shipped).
+    /// Forgets `peer`'s acknowledgements, so the next batch to it carries
+    /// everything again. Never needed for correctness — batches are
+    /// pruned only by what the peer acknowledged, and a restarted peer's
+    /// new incarnation replaces its old acknowledgements — but a
+    /// transport may call it when it knows the peer lost its state.
     pub fn reset_watermark(&mut self, peer: ReplicaId) {
-        self.watermarks.remove(&peer);
         self.batch.remove(&peer);
     }
 
     /// Produces the gossip message for `peer` under the configured
-    /// strategy's **pacing**: `Full`/`Incremental` emit a snapshot on
-    /// every call; `Batched` returns `None` until
+    /// strategy's **pacing**: `Full` emits a snapshot on every call;
+    /// `Batched` returns `None` until
     /// [`batch_interval`](ReplicaConfig::batch_interval) ticks have
-    /// accumulated for this peer, then one [`BatchedGossipMsg`] covering
-    /// everything since the last exchange. Transports should call this
-    /// once per peer per gossip tick and send only `Some` results.
+    /// accumulated for this peer, then one self-contained
+    /// [`BatchedGossipMsg`]. Transports should call this once per peer per
+    /// gossip tick and send only `Some` results.
     pub fn poll_gossip(&mut self, peer: ReplicaId) -> Option<GossipEnvelope<T::Operator>> {
-        if self.config.gossip != GossipStrategy::Batched || self.recovering.is_some() {
+        if self.config.gossip == GossipStrategy::Full {
             return Some(GossipEnvelope::Snapshot(self.make_gossip(peer)));
         }
         let interval = self.config.batch_interval.max(1);
@@ -1013,106 +989,125 @@ impl<T: SerialDataType> Replica<T> {
     }
 
     /// Builds one batched exchange for `peer` (see
-    /// [`GossipStrategy::Batched`]): `R`/`L` as deltas against what the
-    /// peer's handshake covers and what we already shipped, `D`/`S` as
-    /// complete summaries, plus our own `known` handshake. Unlike
-    /// [`Replica::poll_gossip`] this ignores pacing and does not touch the
-    /// stats counters.
+    /// [`GossipStrategy::Batched`]). `R` and `L` come from per-client range
+    /// scans of `rcvd` and the label map, starting at the watermarks of the
+    /// peer's acknowledged `known` and `stable` summaries, so construction
+    /// costs O(unacknowledged + #clients), not O(history). The batch is
+    /// self-contained: each id in its `done`/`stable` summaries has its
+    /// descriptor and label in the batch unless the peer acknowledged
+    /// holding them.
     ///
-    /// Wire bytes are O(delta + #clients); *construction* still scans the
-    /// label map (like every other strategy — `LabelMap` has no
-    /// changed-since index), but the per-peer memory is bounded: sent
-    /// descriptors/knowledge live in summaries, and sent-label entries
-    /// are dropped once the op is stable at the peer (vs the incremental
-    /// strategy's ever-growing per-peer id sets).
-    pub fn make_batched_gossip(&mut self, peer: ReplicaId) -> BatchedGossipMsg<T::Operator> {
-        let peer_stable = &self.stable[self.idx(peer)];
-        let bs = self.batch.entry(peer).or_default();
-        let rcvd: Vec<OpDescriptor<T::Operator>> = self
-            .rcvd
-            .values()
-            .filter(|d| !bs.peer_rcvd.contains(d.id) && !bs.sent_rcvd.contains(d.id))
-            .cloned()
-            .collect();
-        for d in &rcvd {
-            bs.sent_rcvd.insert(d.id);
-        }
-        // §10.2 label GC, mirroring `gc_gossip`'s `L` pruning: an op
-        // stable at the peer holds its frozen system-minimum label there
-        // (Invariant 7.19), so its shipped label is retired and its
-        // sent-label bookkeeping dropped — `sent_labels` tracks only
-        // labels still in flux, not all of history. Only *shipped* labels
-        // retire (stability is reached through our own earlier batches),
-        // and retirement lives in `label_gc` so `reset_watermark` rewinds
-        // it for recovered peers.
-        {
-            let BatchState {
-                sent_labels,
-                label_gc,
-                ..
-            } = bs;
-            sent_labels.retain(|id, _| {
-                if peer_stable.contains(id) {
-                    label_gc.insert(*id);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let labels: Vec<(OpId, Label)> = self
-            .labels
-            .iter()
-            .filter(|(id, l)| {
-                !bs.label_gc.contains(*id) && bs.sent_labels.get(id).is_none_or(|sent| l < sent)
-            })
-            .collect();
-        for (id, l) in &labels {
-            bs.sent_labels.insert(*id, *l);
-        }
-        BatchedGossipMsg {
+    /// A recovering replica sends only its handshake (`known` and its
+    /// incarnation): it has no trustworthy knowledge to report yet, but
+    /// peers need the handshake to stop pruning against its pre-crash
+    /// acknowledgements. Unlike [`Replica::poll_gossip`] this ignores
+    /// pacing and does not touch the stats counters.
+    pub fn make_batched_gossip(&self, peer: ReplicaId) -> BatchedGossipMsg<T::Operator> {
+        let unheard = BatchState::default();
+        let acks = self.batch.get(&peer).unwrap_or(&unheard);
+        let mut msg = BatchedGossipMsg {
             from: self.id,
-            rcvd,
-            done: self.done_here_summary.clone(),
-            labels,
-            stable: self.stable_here_summary.clone(),
+            incarnation: self.incarnation,
+            acked: acks.incarnation,
+            rcvd: Vec::new(),
+            done: IdSummary::new(),
+            labels: Vec::new(),
+            stable: IdSummary::new(),
             known: self.rcvd_summary.clone(),
+        };
+        if self.recovering.is_none() {
+            msg.rcvd = acks
+                .known
+                .missing_from(&self.rcvd)
+                .into_iter()
+                .map(|(_, d)| d.clone())
+                .collect();
+            msg.labels = self.labels.missing_from(&acks.stable);
+            msg.done = self.done_here_summary.clone();
+            msg.stable = self.stable_here_summary.clone();
         }
+        msg
     }
 
-    /// Handles a batched gossip exchange: records the sender's `known`
-    /// handshake, folds in only the [`IdSummary::difference`] of its
-    /// `done`/`stable` summaries against what this replica has already
-    /// seen from it (O(delta)), and merges the `R`/`L` deltas through the
-    /// ordinary [`Replica::on_gossip`] path. Duplicated messages are
-    /// no-ops (summaries are monotone); lost messages stall only the
-    /// `R`/`L` deltas, which [`Replica::reset_watermark`] at the sender
-    /// rewinds.
+    /// Handles a batched gossip exchange:
+    ///
+    /// * **Acknowledgements.** The sender's `known`/`stable` summaries
+    ///   join what that incarnation acknowledged before, *replace* it when
+    ///   the batch comes from a newer incarnation, and are ignored when it
+    ///   comes from an older one.
+    /// * **Facts.** Descriptors are admitted; labels are merged for the
+    ///   operations whose descriptor this replica holds.
+    /// * **Knowledge.** Only the [`IdSummary::difference`] of the
+    ///   `done`/`stable` summaries against what was already folded from
+    ///   this sender is examined (O(delta)), and an id is folded only once
+    ///   this replica holds its descriptor and label; otherwise a later
+    ///   batch retries it. A batch pruned against the acknowledgements of
+    ///   an earlier incarnation of *this* replica (`acked` ≠
+    ///   [`Replica::incarnation`]) may omit labels its summaries rely on,
+    ///   so it folds no knowledge and does not count toward the §9.3
+    ///   recovery gate.
+    ///
+    /// So lost, duplicated and reordered batches are harmless: every batch
+    /// is self-contained and every merge is monotone.
     pub fn on_batched_gossip(
         &mut self,
         g: BatchedGossipMsg<T::Operator>,
     ) -> Vec<RespondEffect<T::Value>> {
+        self.stats.gossip_in += 1;
         let BatchedGossipMsg {
             from,
+            incarnation,
+            acked,
             rcvd,
             done,
             labels,
             stable,
             known,
         } = g;
-        let bs = self.batch.entry(from).or_default();
-        let new_done = done.difference(&bs.seen_done);
-        let new_stable = stable.difference(&bs.seen_stable);
-        bs.seen_done.merge(&done);
-        bs.seen_stable.merge(&stable);
-        bs.peer_rcvd.merge(&known);
-        self.on_gossip(GossipMsg {
-            from,
-            rcvd,
-            done: new_done.iter().collect(),
-            labels,
-            stable: new_stable.iter().collect(),
-        })
+        let acks = self.batch.entry(from).or_default();
+        match incarnation.cmp(&acks.incarnation) {
+            Ordering::Greater => {
+                acks.incarnation = incarnation;
+                acks.known = known;
+                acks.stable = stable.clone();
+            }
+            Ordering::Equal => {
+                acks.known.merge(&known);
+                acks.stable.merge(&stable);
+            }
+            Ordering::Less => {}
+        }
+        for d in rcvd {
+            self.admit(d);
+        }
+        for (id, l) in labels {
+            if self.holds(id) {
+                self.merge_label(id, l);
+            }
+        }
+        if acked != self.incarnation {
+            return self.step();
+        }
+        let seen = &self.batch[&from];
+        let fold = |delta: IdSummary| -> Vec<OpId> {
+            delta
+                .iter()
+                .filter(|x| self.holds(*x) && self.labels.is_labeled(*x))
+                .collect()
+        };
+        let new_done = fold(done.difference(&seen.seen_done));
+        let new_stable = fold(stable.difference(&seen.seen_stable));
+        let seen = self.batch.get_mut(&from).expect("entry created above");
+        seen.seen_done.extend(new_done.iter().copied());
+        seen.seen_stable.extend(new_stable.iter().copied());
+        self.fold_knowledge(from, &new_done, &new_stable);
+        self.step()
+    }
+
+    /// Whether this replica holds `x`'s descriptor — in `rcvd`, or purged
+    /// by §10.2 compaction after `x` was done here.
+    fn holds(&self, x: OpId) -> bool {
+        self.rcvd.contains_key(&x) || self.done[self.idx(self.id)].contains(&x)
     }
 
     /// Dispatches any replica-to-replica message to its handler.
@@ -1272,6 +1267,7 @@ impl<T: SerialDataType> Replica<T> {
         }
         if i == self.idx(self.id) {
             self.stable_here_summary.insert(x);
+            self.stable_label_max = self.stable_label_max.max(self.labels.get(x).finite());
         }
         let c = self.stable_at_count.entry(x).or_insert(0);
         *c += 1;
@@ -1348,17 +1344,12 @@ impl<T: SerialDataType> Replica<T> {
     /// label ≤ the largest stable label (Invariant 10.1). Solid labels are
     /// frozen (Lemma 10.2), so the prefix never has to be recomputed.
     fn advance_memo(&mut self) {
-        let here = self.idx(self.id);
         let Some(memo) = &mut self.memo else {
             return;
         };
-        // Boundary: largest label of a stable op. Stable ops hold their
-        // system-minimum labels (Invariant 7.19), so this max is stable too.
-        let boundary = self.stable[here]
-            .iter()
-            .filter_map(|x| self.labels.get(*x).finite())
-            .max();
-        let Some(boundary) = boundary else { return };
+        let Some(boundary) = self.stable_label_max else {
+            return;
+        };
         while let Some((l, id)) = self.labels.next_after(memo.last_label) {
             if l > boundary {
                 break;
@@ -1464,11 +1455,18 @@ impl<T: SerialDataType> Replica<T> {
         };
         let here = self.idx(self.id);
         // Invariant 10.1: memoized ⊆ solid (labels ≤ the largest stable
-        // label) and the prefix is in label order.
+        // label) and the prefix is in label order. The boundary is
+        // rescanned here as the oracle for the one `mark_stable_at` keeps.
         let boundary = self.stable[here]
             .iter()
             .filter_map(|x| self.labels.get(*x).finite())
             .max();
+        if boundary != self.stable_label_max {
+            return Err(format!(
+                "memo boundary {:?} disagrees with the largest stable label {boundary:?}",
+                self.stable_label_max
+            ));
+        }
         let mut prev: Option<Label> = None;
         for x in &memo.order {
             let l = self
@@ -1699,20 +1697,6 @@ mod tests {
         assert_eq!(memo.current_state(), basic.current_state());
     }
 
-    #[test]
-    fn incremental_gossip_carries_only_deltas() {
-        let cfg = ReplicaConfig::default().with_gossip(GossipStrategy::Incremental);
-        let (mut a, mut b) = two_replicas(cfg);
-        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
-        let g1 = a.make_gossip(ReplicaId(1));
-        assert_eq!(g1.rcvd.len(), 1);
-        let g2 = a.make_gossip(ReplicaId(1));
-        assert!(g2.is_empty(), "nothing changed since last gossip");
-        let _ = b.on_gossip(g1);
-        let _ = b.on_gossip(g2);
-        assert!(b.done_here().contains(&id(0, 0)));
-    }
-
     /// Exchange one batched round in each direction via poll_gossip
     /// (batch_interval 1 ⇒ always due).
     fn sync_batched(a: &mut Replica<Ctr>, b: &mut Replica<Ctr>) -> Vec<RespondEffect<i64>> {
@@ -1766,11 +1750,18 @@ mod tests {
         };
         assert_eq!(g1.rcvd.len(), 1, "first exchange ships the descriptor");
         let _ = b.on_gossip_envelope(GossipEnvelope::Batched(g1));
-        // Second exchange: the descriptor was already sent.
+        // b's reply acknowledges the descriptor in its `known` handshake.
+        let Some(ack) = b.poll_gossip(ReplicaId(0)) else {
+            panic!()
+        };
+        let _ = a.on_gossip_envelope(ack);
         let Some(GossipEnvelope::Batched(g2)) = a.poll_gossip(ReplicaId(1)) else {
             panic!()
         };
-        assert!(g2.rcvd.is_empty(), "sent_rcvd suppresses the re-send");
+        assert!(
+            g2.rcvd.is_empty(),
+            "the acknowledged descriptor is not re-sent"
+        );
         // An op b learned elsewhere (directly) is covered by b's handshake:
         // a never ships its descriptor even though a also holds it.
         let _ = b.on_request(OpDescriptor::new(id(1, 0), Op::Inc));
@@ -1822,31 +1813,36 @@ mod tests {
         let cfg = ReplicaConfig::default().with_batched(1);
         let (mut a, mut b) = two_replicas(cfg);
         let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
-        // First batch is "lost": b never sees it.
+        // First batch is "lost": b never sees it, so the next one re-ships.
         let _ = a.poll_gossip(ReplicaId(1)).expect("emitted");
         let Some(GossipEnvelope::Batched(g2)) = a.poll_gossip(ReplicaId(1)) else {
             panic!()
         };
-        assert!(
-            g2.rcvd.is_empty(),
-            "descriptor is not re-shipped by default"
+        assert_eq!(g2.rcvd.len(), 1, "unacknowledged descriptors re-ship");
+        assert_eq!(
+            g2.labels.len(),
+            1,
+            "labels re-ship until the peer is stable"
         );
+        let _ = b.on_gossip_envelope(GossipEnvelope::Batched(g2));
+        assert!(b.done_here().contains(&id(0, 0)));
+        // Once b acknowledges, resetting the acks re-ships everything.
+        let _ = a.on_gossip_envelope(b.poll_gossip(ReplicaId(0)).expect("emitted"));
+        assert!(a.make_batched_gossip(ReplicaId(1)).rcvd.is_empty());
         a.reset_watermark(ReplicaId(1));
         let Some(GossipEnvelope::Batched(g3)) = a.poll_gossip(ReplicaId(1)) else {
             panic!()
         };
-        assert_eq!(g3.rcvd.len(), 1, "reset rewinds the delta state");
-        let _ = b.on_gossip_envelope(GossipEnvelope::Batched(g3));
-        assert!(b.done_here().contains(&id(0, 0)));
+        assert_eq!(g3.rcvd.len(), 1, "reset forgets the acknowledgements");
     }
 
     #[test]
     fn batched_label_gc_retires_peer_stable_labels_until_reset() {
-        // Once an op is stable at the peer its label is frozen there
-        // (Invariant 7.19), so steady-state batches stop carrying it; but
-        // the retirement is part of the rewindable delta state — after
-        // reset_watermark (connection loss, peer recovery) the label
-        // ships again, because a recovered peer has lost it.
+        // Once the peer reports an op stable its label is frozen there
+        // (Invariant 7.19), so batches stop carrying it; but the
+        // acknowledgement belongs to one incarnation of the peer — once
+        // the peer restarts, its new handshake replaces the old acks and
+        // the label ships again, because the restarted peer lost it.
         let cfg = ReplicaConfig::default().with_batched(1);
         let (mut a, mut b) = two_replicas(cfg);
         let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
@@ -1856,10 +1852,14 @@ mod tests {
         assert!(a.stable(ReplicaId(1)).contains(&id(0, 0)));
         let g = a.make_batched_gossip(ReplicaId(1));
         assert!(g.labels.is_empty(), "peer-stable labels are retired");
-        a.reset_watermark(ReplicaId(1));
+        assert!(g.rcvd.is_empty(), "acknowledged descriptors are retired");
+        let b = Replica::recover(Ctr, b.crash(), 2, cfg);
+        assert_eq!(b.incarnation(), 1);
+        let _ = a.on_batched_gossip(b.make_batched_gossip(ReplicaId(0)));
         let g = a.make_batched_gossip(ReplicaId(1));
-        assert_eq!(g.rcvd.len(), 1, "descriptor re-ships after reset");
-        assert_eq!(g.labels.len(), 1, "label re-ships after reset");
+        assert_eq!(g.acked, 1, "pruned against the new incarnation");
+        assert_eq!(g.rcvd.len(), 1, "descriptor re-ships after the restart");
+        assert_eq!(g.labels.len(), 1, "label re-ships after the restart");
     }
 
     #[test]
@@ -1912,16 +1912,89 @@ mod tests {
     }
 
     #[test]
-    fn batched_recovering_replica_gossips_empty_snapshot() {
-        let cfg = ReplicaConfig::default().with_batched(2);
-        let (a, _) = two_replicas(cfg);
-        let stub = a.crash();
-        let mut a = Replica::recover(Ctr, stub, 2, cfg);
-        let env = a.poll_gossip(ReplicaId(1)).expect("liveness beacon");
-        match env {
-            GossipEnvelope::Snapshot(g) => assert!(g.is_empty()),
-            GossipEnvelope::Batched(_) => panic!("recovering replicas send empty snapshots"),
+    fn batched_recovering_replica_gossips_only_its_handshake() {
+        let cfg = ReplicaConfig::default().with_batched(1);
+        let (mut a, _) = two_replicas(cfg);
+        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
+        let mut a = Replica::recover(Ctr, a.crash(), 2, cfg);
+        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
+        assert!(a.is_recovering());
+        let Some(GossipEnvelope::Batched(g)) = a.poll_gossip(ReplicaId(1)) else {
+            panic!("recovering replicas still send batches")
+        };
+        assert_eq!(g.incarnation, 1);
+        assert!(
+            g.known.contains(id(0, 0)),
+            "the handshake covers what it holds"
+        );
+        assert!(g.rcvd.is_empty() && g.labels.is_empty());
+        assert!(g.done.is_empty() && g.stable.is_empty(), "no knowledge yet");
+    }
+
+    #[test]
+    fn batched_receiver_folds_nothing_it_cannot_label() {
+        // Whatever order batches arrive in, the receiver never marks an op
+        // done while it lacks the op's descriptor or label. Simulate a
+        // batch that names an op in `done` without carrying either.
+        let cfg = ReplicaConfig::default().with_batched(1);
+        let (mut a, mut b) = two_replicas(cfg);
+        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
+        let whole = a.make_batched_gossip(ReplicaId(1));
+        let mut bare = whole.clone();
+        bare.rcvd.clear();
+        bare.labels.clear();
+        let _ = b.on_batched_gossip(bare.clone());
+        assert!(b.done(ReplicaId(0)).is_empty(), "not held: not folded");
+        assert!(!b.labels().is_labeled(id(0, 0)));
+        let _ = b.on_batched_gossip(whole);
+        assert!(b.done(ReplicaId(0)).contains(&id(0, 0)), "folded once held");
+        assert_eq!(b.labels().get(id(0, 0)), a.labels().get(id(0, 0)));
+        let _ = b.on_batched_gossip(bare);
+        assert_eq!(b.check_memo_consistency(), Ok(()));
+    }
+
+    #[test]
+    fn batched_batch_pruned_for_a_previous_life_folds_no_knowledge() {
+        let cfg = ReplicaConfig::default().with_batched(1);
+        let (mut a, mut b) = two_replicas(cfg);
+        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
+        for _ in 0..4 {
+            sync_batched(&mut a, &mut b);
         }
+        // b restarts; a has not heard its new handshake yet, so a's batch
+        // is pruned for the old b (no label) and must not count.
+        let mut b = Replica::recover(Ctr, b.crash(), 2, cfg);
+        let stale = a.make_batched_gossip(ReplicaId(1));
+        assert_eq!((stale.acked, stale.labels.len()), (0, 0));
+        let _ = b.on_batched_gossip(stale);
+        assert!(b.is_recovering(), "a stale batch does not open the gate");
+        assert!(b.done(ReplicaId(0)).is_empty());
+        for _ in 0..3 {
+            sync_batched(&mut a, &mut b);
+        }
+        assert!(!b.is_recovering());
+        assert_eq!(b.labels().get(id(0, 0)), a.labels().get(id(0, 0)));
+        assert_eq!(b.current_state(), 1);
+    }
+
+    #[test]
+    fn memo_boundary_tracks_the_largest_stable_label() {
+        let (mut a, mut b) = two_replicas(ReplicaConfig::default());
+        for s in 0..6 {
+            let _ = a.on_request(OpDescriptor::new(id(0, s), Op::Inc));
+            let _ = b.on_request(OpDescriptor::new(id(1, s), Op::Inc));
+            sync_batched(&mut a, &mut b);
+            for r in [&a, &b] {
+                let scan = r
+                    .stable_here()
+                    .iter()
+                    .filter_map(|x| r.labels().get(*x).finite())
+                    .max();
+                assert_eq!(r.stable_label_max, scan);
+                assert_eq!(r.check_memo_consistency(), Ok(()));
+            }
+        }
+        assert!(a.stable_label_max.is_some());
     }
 
     #[test]

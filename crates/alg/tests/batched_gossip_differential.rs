@@ -18,11 +18,18 @@
 //!    each replica knows *when* (so nonstrict response values may
 //!    legitimately differ), but every request is still answered and all
 //!    replicas of the batched run converge to one order and state.
+//! 3. **Equivalence on faulty channels**: the same schedule with gossip
+//!    messages lost, duplicated and delivered a round late (overtaken by
+//!    newer ones), plus optionally one replica crashing and recovering,
+//!    drawn identically for both runs. Every batch is self-contained, so
+//!    the batched run still matches `Full` response for response, and no
+//!    replica ever holds an operation done (anywhere) without holding its
+//!    descriptor and label.
 //!
 //! The acceptance bar for this suite is ≥ 256 cases (`PROPTEST_CASES`;
 //! CI runs it at 512).
 
-use esds_alg::{Replica, ReplicaConfig};
+use esds_alg::{GossipEnvelope, GossipStrategy, Replica, ReplicaConfig};
 use esds_core::{ClientId, OpDescriptor, OpId, ReplicaId, SerialDataType};
 use proptest::prelude::*;
 
@@ -176,6 +183,195 @@ fn run_schedule(
     (responses, orders, states, stable_prefix)
 }
 
+fn full_config() -> ReplicaConfig {
+    ReplicaConfig::default().with_gossip(GossipStrategy::Full)
+}
+
+/// SplitMix64: the fault schedule, replayed identically for both runs.
+struct Faults(u64);
+
+impl Faults {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// Every replica's done sets name only operations it holds with a label.
+fn assert_done_is_held_and_labeled(reps: &[Replica<Ctr>]) {
+    for r in reps {
+        for i in 0..N as u32 {
+            for x in r.done(ReplicaId(i)) {
+                assert!(
+                    r.labels().is_labeled(*x) && r.rcvd().contains_key(x),
+                    "replica {} holds {x} done at {i} without its descriptor and label",
+                    r.id()
+                );
+            }
+        }
+    }
+}
+
+/// A network that drops, duplicates and delays gossip by a round.
+struct FaultyNet {
+    faults: Faults,
+    /// Messages held back a round, as `(to, message)`.
+    late: Vec<(usize, GossipEnvelope<Op>)>,
+}
+
+impl FaultyNet {
+    fn deliver(
+        reps: &mut [Replica<Ctr>],
+        to: usize,
+        env: GossipEnvelope<Op>,
+        out: &mut Vec<(OpId, i64)>,
+    ) {
+        let fx = reps[to].on_gossip_envelope(env);
+        out.extend(fx.into_iter().map(|e| (e.msg.id, e.msg.value)));
+        assert_done_is_held_and_labeled(reps);
+    }
+
+    /// One gossip round: every message sent now meets its fate, then last
+    /// round's late messages arrive behind this round's.
+    fn round(&mut self, reps: &mut [Replica<Ctr>], lossy: bool) -> Vec<(OpId, i64)> {
+        let mut out = Vec::new();
+        let late = std::mem::take(&mut self.late);
+        for from in 0..N {
+            for to in 0..N {
+                if from == to {
+                    continue;
+                }
+                let env = reps[from]
+                    .poll_gossip(ReplicaId(to as u32))
+                    .expect("interval 1 sends every tick");
+                match if lossy { self.faults.next() % 8 } else { 7 } {
+                    0 => {}
+                    1 => {
+                        Self::deliver(reps, to, env.clone(), &mut out);
+                        Self::deliver(reps, to, env, &mut out);
+                    }
+                    2 | 3 => self.late.push((to, env)),
+                    _ => Self::deliver(reps, to, env, &mut out),
+                }
+            }
+        }
+        for (to, env) in late {
+            Self::deliver(reps, to, env, &mut out);
+        }
+        out
+    }
+
+    /// Crashes replica `t` and recovers it: messages to and from it die
+    /// with its connections, the recovered replica greets every peer
+    /// first, and its front ends retry what it had been sent.
+    fn restart(
+        &mut self,
+        reps: &mut [Replica<Ctr>],
+        t: usize,
+        cfg: ReplicaConfig,
+        retries: &[OpDescriptor<Op>],
+    ) -> Vec<(OpId, i64)> {
+        let stub = reps[t].clone().crash();
+        reps[t] = Replica::recover(Ctr, stub, N, cfg);
+        let me = ReplicaId(t as u32);
+        self.late.retain(|(to, env)| *to != t && env.from() != me);
+        let mut out = Vec::new();
+        for to in (0..N).filter(|p| *p != t) {
+            let env = reps[t]
+                .poll_gossip(ReplicaId(to as u32))
+                .expect("interval 1 sends every tick");
+            Self::deliver(reps, to, env, &mut out);
+        }
+        for d in retries {
+            let fx = reps[t].on_request(d.clone());
+            out.extend(fx.into_iter().map(|e| (e.msg.id, e.msg.value)));
+        }
+        out
+    }
+}
+
+/// Runs the schedule on the faulty network under one configuration and
+/// returns the response sequence, the final orders and states, and the
+/// stable-everywhere prefix of replica 0.
+#[allow(clippy::type_complexity)]
+fn run_faulty(
+    cfg: ReplicaConfig,
+    steps: &[Step],
+    seed: u64,
+    restart: Option<(usize, usize)>,
+) -> (Vec<(OpId, i64)>, Vec<Vec<OpId>>, Vec<i64>, Vec<OpId>) {
+    let mut reps: Vec<Replica<Ctr>> = (0..N)
+        .map(|i| Replica::new(Ctr, ReplicaId(i as u32), N, cfg))
+        .collect();
+    let mut net = FaultyNet {
+        faults: Faults(seed),
+        late: Vec::new(),
+    };
+    let mut responses = Vec::new();
+    let mut sent: Vec<OpDescriptor<Op>> = Vec::new();
+    for (seq, s) in steps.iter().enumerate() {
+        let id = OpId::new(ClientId(s.target as u32), seq as u64);
+        let op = if s.read { Op::Read } else { Op::Inc(s.amount) };
+        let desc = OpDescriptor::new(id, op).with_strict(s.strict);
+        sent.push(desc.clone());
+        let fx = reps[s.target].on_request(desc);
+        responses.extend(fx.into_iter().map(|e| (e.msg.id, e.msg.value)));
+        if s.gossip_after {
+            responses.extend(net.round(&mut reps, true));
+        }
+        if let Some((at, t)) = restart {
+            if at == seq {
+                let retries: Vec<_> = sent
+                    .iter()
+                    .filter(|d| d.id.client() == ClientId(t as u32))
+                    .cloned()
+                    .collect();
+                responses.extend(net.restart(&mut reps, t, cfg, &retries));
+            }
+        }
+    }
+    // Drain on a healed network (late messages still arrive).
+    for _ in 0..6 {
+        responses.extend(net.round(&mut reps, false));
+    }
+    let orders: Vec<Vec<OpId>> = reps.iter().map(|r| r.local_order()).collect();
+    let states: Vec<i64> = reps.iter().map(|r| r.current_state()).collect();
+    let stable_prefix: Vec<OpId> = reps[0]
+        .local_order()
+        .into_iter()
+        .filter(|x| reps[0].stable_everywhere().contains(x))
+        .collect();
+    (responses, orders, states, stable_prefix)
+}
+
+proptest! {
+    /// Property 3: on channels that lose, duplicate and reorder gossip,
+    /// with an optional crash and recovery, batched gossip reaches the
+    /// same responses, orders, states and stable prefixes as `Full`
+    /// under the identical fault schedule — and never holds an op done
+    /// without its descriptor and label.
+    #[test]
+    fn batched_gossip_matches_full_on_faulty_channels(
+        steps in proptest::collection::vec(step_strategy(), 5..40),
+        seed in any::<u64>(),
+        restart in proptest::option::of((0usize..40, 0..N)),
+    ) {
+        let full = run_faulty(full_config(), &steps, seed, restart);
+        let batched = run_faulty(ReplicaConfig::default(), &steps, seed, restart);
+        prop_assert_eq!(&batched.0, &full.0, "response sequences diverged");
+        prop_assert_eq!(&batched.1, &full.1, "local orders diverged");
+        prop_assert_eq!(&batched.2, &full.2, "object states diverged");
+        prop_assert_eq!(&batched.3, &full.3, "stable prefixes diverged");
+        for order in &batched.1 {
+            prop_assert_eq!(order, &batched.1[0], "replicas did not converge");
+        }
+        prop_assert_eq!(batched.3.len(), steps.len(), "everything stabilized");
+    }
+}
+
 proptest! {
     /// Property 1: with batch interval 1 the batched protocol is
     /// *lockstep-equivalent* to full snapshots — same responses (values
@@ -184,7 +380,7 @@ proptest! {
     fn batched_gossip_is_observably_identical_to_full(
         steps in proptest::collection::vec(step_strategy(), 5..40),
     ) {
-        let full = run_schedule(ReplicaConfig::default(), &steps, false);
+        let full = run_schedule(full_config(), &steps, false);
         let batched = run_schedule(ReplicaConfig::default().with_batched(1), &steps, true);
         prop_assert_eq!(&batched.0, &full.0, "response sequences diverged");
         prop_assert_eq!(&batched.1, &full.1, "local orders diverged");

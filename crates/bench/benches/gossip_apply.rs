@@ -1,6 +1,6 @@
 //! Gossip-processing cost: how long a replica takes to merge an incoming
 //! `(R, D, L, S)` snapshot, as a function of how many operations it
-//! carries (the §10.4 motivation for incremental gossip).
+//! carries (the §10.4 motivation for batched gossip).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use esds_alg::{Replica, ReplicaConfig};

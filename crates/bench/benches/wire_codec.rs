@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the wire codec (esds-wire): encoding
-//! and decoding gossip messages at several sizes, plain vs §10.2
-//! summarized, plus frame checksumming. These are the per-message costs a
-//! TCP deployment pays on every gossip tick.
+//! and decoding gossip messages at several sizes, the full snapshot vs
+//! the §10.2/§10.4 batched exchange, plus frame checksumming. These are
+//! the per-message costs a TCP deployment pays on every gossip tick.
 
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use esds_alg::GossipMsg;
-use esds_core::{ClientId, Label, OpDescriptor, OpId, ReplicaId};
+use esds_alg::{BatchedGossipMsg, GossipMsg};
+use esds_core::{ClientId, IdSummary, Label, OpDescriptor, OpId, ReplicaId};
 use esds_datatypes::{CounterOp, CounterValue};
-use esds_wire::{decode_message, encode_message, read_frame, SummarizedGossip, WireMessage};
+use esds_wire::{decode_message, encode_message, read_frame, WireMessage};
 
 type Msg = WireMessage<CounterOp, CounterValue>;
 
@@ -34,11 +34,37 @@ fn gossip_of(n: usize) -> GossipMsg<CounterOp> {
     }
 }
 
+/// The batched exchange over the same state, to a peer that acknowledged
+/// everything stable: `R` and `L` carry only the unstable fifth, `D`,
+/// `S` and the handshake travel as summaries.
+fn batched_of(n: usize) -> BatchedGossipMsg<CounterOp> {
+    let g = gossip_of(n);
+    let stable: IdSummary = g.stable.iter().copied().collect();
+    BatchedGossipMsg {
+        from: g.from,
+        incarnation: 0,
+        acked: 0,
+        rcvd: g
+            .rcvd
+            .into_iter()
+            .filter(|d| !stable.contains(d.id))
+            .collect(),
+        done: g.done.iter().copied().collect(),
+        labels: g
+            .labels
+            .into_iter()
+            .filter(|(id, _)| !stable.contains(*id))
+            .collect(),
+        known: g.done.iter().copied().collect(),
+        stable,
+    }
+}
+
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_encode");
     for n in [16usize, 128, 1024] {
         let plain = Msg::Gossip(gossip_of(n));
-        let summarized = Msg::GossipSummary(SummarizedGossip::from_gossip(&gossip_of(n)));
+        let batched = Msg::GossipBatched(batched_of(n));
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("gossip_plain", n), &plain, |b, msg| {
             let mut buf = BytesMut::with_capacity(64 * 1024);
@@ -48,18 +74,14 @@ fn bench_encode(c: &mut Criterion) {
                 buf.len()
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("gossip_summarized", n),
-            &summarized,
-            |b, msg| {
-                let mut buf = BytesMut::with_capacity(64 * 1024);
-                b.iter(|| {
-                    buf.clear();
-                    encode_message(msg, &mut buf);
-                    buf.len()
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("gossip_batched", n), &batched, |b, msg| {
+            let mut buf = BytesMut::with_capacity(64 * 1024);
+            b.iter(|| {
+                buf.clear();
+                encode_message(msg, &mut buf);
+                buf.len()
+            });
+        });
     }
     group.finish();
 }

@@ -1,5 +1,5 @@
-//! Regenerates every table and figure of the paper's evaluation
-//! (see `DESIGN.md` §5 and `EXPERIMENTS.md`).
+//! Regenerates every table and figure of the paper's evaluation (the
+//! experiment index is the table in the `esds-bench` crate docs).
 //!
 //! Two environment knobs support the CI bench-smoke lane (which runs the
 //! whole suite on every PR and archives the numbers as a build

@@ -1064,32 +1064,29 @@ fn gossip_strategy_run(
 
 /// A3 — §10.4 gossip strategies: messages, bytes, and throughput per
 /// operation, swept across gossip intervals. The headline comparison is
-/// Full vs Incremental vs Batched (4 ticks per exchange): Full re-ships
-/// the whole `(R, D, L, S)` history every tick, Incremental ships deltas
-/// every tick, Batched ships deltas plus summary watermarks every 4th
-/// tick — O(delta) bytes *and* 1/4 the messages at steady state. The GC
-/// and broadcast variants are included at each interval for continuity
-/// with the paper's ablation. Returns one [`GossipStrategyPoint`] per
-/// (strategy, interval) cell.
+/// Full vs Batched: Full re-ships the whole `(R, D, L, S)` history every
+/// tick, Batched ships only what the peer has not acknowledged plus
+/// summary watermarks — O(unacknowledged + #clients) bytes, and with 4
+/// ticks per exchange 1/4 the messages. The GC and broadcast variants of
+/// Full are included at each interval for continuity with the paper's
+/// ablation. Returns one [`GossipStrategyPoint`] per (strategy, interval)
+/// cell.
 pub fn tab_gossip_strategies(ops: usize) -> Vec<GossipStrategyPoint> {
+    let full = ReplicaConfig::default().with_gossip(GossipStrategy::Full);
     let strategies: [(&'static str, ReplicaConfig, bool); 5] = [
-        ("full snapshot (paper §6)", ReplicaConfig::default(), false),
+        ("full snapshot (paper §6)", full, false),
         (
-            "incremental (§10.4, FIFO channels)",
-            ReplicaConfig::default().with_gossip(GossipStrategy::Incremental),
+            "batched ×1 (§10.2+§10.4, default)",
+            ReplicaConfig::default(),
             false,
         ),
         (
-            "batched ×4 (§10.2+§10.4, FIFO channels)",
+            "batched ×4 (§10.2+§10.4)",
             ReplicaConfig::default().with_batched(4),
             false,
         ),
-        (
-            "full + GC (§10.2)",
-            ReplicaConfig::default().with_gc(),
-            false,
-        ),
-        ("broadcast (§10.4)", ReplicaConfig::default(), true),
+        ("full + GC (§10.2)", full.with_gc(), false),
+        ("broadcast (§10.4)", full, true),
     ];
     let mut rows = Vec::new();
     let mut out = Vec::new();
@@ -1161,32 +1158,31 @@ pub fn tab_gossip_interval(ops_per_client: usize) -> Vec<(u64, f64, f64)> {
 }
 
 /// A4 — §10.2 identifier summarization: gossip sizes with `D` and `S` as
-/// flat id lists (the abstract algorithm) vs as `IdSummary` watermark
-/// vectors (the multipart-timestamp-style optimization), measured on live
-/// gossip streams with both the sizing model and the real wire encoding.
-/// Returns `(plain_wire_bytes, summarized_wire_bytes)` totals.
+/// flat id lists (the abstract algorithm's snapshot, with §10.2 GC so id
+/// sets dominate) vs the batched exchange, which carries `D`, `S` and its
+/// handshake as `IdSummary` watermark vectors (the multipart-timestamp
+/// style). Two deployments run the same requests in lockstep; both the
+/// sizing model and the real wire encoding are measured. Returns
+/// `(plain_wire_bytes, batched_wire_bytes)` totals.
 pub fn tab_id_summary(ops_per_client: usize) -> (u64, u64) {
     use bytes::BytesMut;
-    use esds_alg::Replica;
+    use esds_alg::{GossipEnvelope, Replica};
     use esds_core::{ClientId, OpDescriptor, OpId, ReplicaId};
     use esds_datatypes::{CounterOp, CounterValue};
-    use esds_wire::{encode_message, SummarizedGossip, WireMessage};
+    use esds_wire::{encode_message, WireMessage};
 
-    // GC'd gossip (§10.2): descriptors and labels of stable operations are
-    // pruned, but stability votes (`S`) must keep flowing — id sets then
-    // dominate message bytes, which is exactly the case summarization
-    // targets.
     const N: usize = 3;
-    let mut reps: Vec<Replica<Counter>> = (0..N)
-        .map(|i| {
-            Replica::new(
-                Counter,
-                ReplicaId(i as u32),
-                N,
-                ReplicaConfig::default().with_gc(),
-            )
-        })
-        .collect();
+    let deployment = |cfg: ReplicaConfig| -> Vec<Replica<Counter>> {
+        (0..N)
+            .map(|i| Replica::new(Counter, ReplicaId(i as u32), N, cfg))
+            .collect()
+    };
+    let mut plain = deployment(
+        ReplicaConfig::default()
+            .with_gossip(GossipStrategy::Full)
+            .with_gc(),
+    );
+    let mut batched = deployment(ReplicaConfig::default());
 
     let mut plain_model = 0u64;
     let mut summary_model = 0u64;
@@ -1194,27 +1190,30 @@ pub fn tab_id_summary(ops_per_client: usize) -> (u64, u64) {
     let mut summary_wire = 0u64;
     let mut msgs = 0u64;
 
-    let mut gossip_round = |reps: &mut Vec<Replica<Counter>>| {
+    let wire_len = |msg: &WireMessage<CounterOp, CounterValue>| -> u64 {
+        let mut buf = BytesMut::new();
+        encode_message(msg, &mut buf);
+        buf.len() as u64
+    };
+    let mut gossip_round = |plain: &mut Vec<Replica<Counter>>,
+                            batched: &mut Vec<Replica<Counter>>| {
         for from in 0..N {
             for to in 0..N {
                 if from == to {
                     continue;
                 }
-                let g = reps[from].make_gossip(ReplicaId(to as u32));
+                let peer = ReplicaId(to as u32);
+                let g = plain[from].make_gossip(peer);
                 msgs += 1;
                 plain_model += g.approx_bytes() as u64;
-                let s = SummarizedGossip::from_gossip(&g);
-                summary_model += s.approx_bytes() as u64;
-                let mut buf = BytesMut::new();
-                encode_message::<CounterOp, CounterValue>(
-                    &WireMessage::Gossip(g.clone()),
-                    &mut buf,
-                );
-                plain_wire += buf.len() as u64;
-                buf.clear();
-                encode_message::<CounterOp, CounterValue>(&WireMessage::GossipSummary(s), &mut buf);
-                summary_wire += buf.len() as u64;
-                reps[to].on_gossip(g);
+                plain_wire += wire_len(&WireMessage::Gossip(g.clone()));
+                plain[to].on_gossip(g);
+                let Some(GossipEnvelope::Batched(b)) = batched[from].poll_gossip(peer) else {
+                    unreachable!("batch_interval 1 emits a batch every tick");
+                };
+                summary_model += b.approx_bytes() as u64;
+                summary_wire += wire_len(&WireMessage::GossipBatched(b.clone()));
+                batched[to].on_batched_gossip(b);
             }
         }
     };
@@ -1225,15 +1224,16 @@ pub fn tab_id_summary(ops_per_client: usize) -> (u64, u64) {
         for c in 0..3u32 {
             let id = OpId::new(ClientId(c), seq);
             let desc = OpDescriptor::new(id, CounterOp::Increment(1));
-            reps[c as usize % N].on_request(desc);
+            plain[c as usize % N].on_request(desc.clone());
+            batched[c as usize % N].on_request(desc);
         }
         if seq % 5 == 4 {
-            gossip_round(&mut reps);
+            gossip_round(&mut plain, &mut batched);
         }
     }
     // Rounds to reach stability everywhere.
     for _ in 0..3 {
-        gossip_round(&mut reps);
+        gossip_round(&mut plain, &mut batched);
     }
 
     print_table(
@@ -1246,13 +1246,13 @@ pub fn tab_id_summary(ops_per_client: usize) -> (u64, u64) {
         ],
         &[
             vec![
-                "flat id lists (abstract algorithm)".into(),
+                "flat id lists (snapshot + §10.2 GC)".into(),
                 format!("{plain_model}"),
                 format!("{plain_wire}"),
                 format!("{:.0}", plain_wire as f64 / msgs as f64),
             ],
             vec![
-                "IdSummary watermarks (§10.2)".into(),
+                "IdSummary watermarks (batched exchange)".into(),
                 format!("{summary_model}"),
                 format!("{summary_wire}"),
                 format!("{:.0}", summary_wire as f64 / msgs as f64),
@@ -1439,8 +1439,8 @@ mod tests {
         // batched strategy transfers strictly fewer bytes per operation
         // than full snapshots (O(delta + #clients) vs O(history)) and,
         // with 4 ticks per exchange, strictly fewer messages.
-        let (full_msgs, full_bytes, _) =
-            gossip_strategy_run(ReplicaConfig::default(), false, 20, 25);
+        let full = ReplicaConfig::default().with_gossip(GossipStrategy::Full);
+        let (full_msgs, full_bytes, _) = gossip_strategy_run(full, false, 20, 25);
         let (batched_msgs, batched_bytes, _) =
             gossip_strategy_run(ReplicaConfig::default().with_batched(4), false, 20, 25);
         assert!(

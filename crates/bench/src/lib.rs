@@ -1,8 +1,8 @@
 //! # esds-bench
 //!
 //! Experiment support for regenerating every table and figure of the ESDS
-//! paper (see `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md`
-//! for recorded results). Each experiment is a binary in `src/bin/`:
+//! paper; numbers are virtual (model) time. Each experiment is a binary in
+//! `src/bin/` (`run_all` runs them all and can archive the series as JSON):
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -17,6 +17,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{OpId, ReplicaId};
+use crate::summary::IdSummary;
 
 /// A finite label from the well-ordered set 𝓛 = ℕ × ReplicaId (lexicographic).
 ///
@@ -178,6 +179,16 @@ impl LabelMap {
     /// Iterates `(id, label)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (OpId, Label)> + '_ {
         self.by_id.iter().map(|(id, l)| (*id, *l))
+    }
+
+    /// The `(id, label)` entries whose id `acked` does not contain, by a
+    /// per-client range scan (see [`IdSummary::missing_from`]).
+    pub fn missing_from(&self, acked: &IdSummary) -> Vec<(OpId, Label)> {
+        acked
+            .missing_from(&self.by_id)
+            .into_iter()
+            .map(|(id, l)| (*id, *l))
+            .collect()
     }
 
     /// Iterates `(label, id)` pairs in **label order** — the replica's local

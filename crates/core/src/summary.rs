@@ -25,6 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
 
@@ -106,6 +107,14 @@ impl IdSummary {
         self.exceptions.insert(id);
         self.compact_client(id.client());
         true
+    }
+
+    /// Adds every sequence of `client` below `w` — one watermark update,
+    /// not `w` inserts.
+    pub fn raise_watermark(&mut self, client: ClientId, w: u64) {
+        let mine = self.watermarks.entry(client).or_insert(0);
+        *mine = (*mine).max(w);
+        self.compact_client(client);
     }
 
     /// Merges another summary into this one (set union).
@@ -204,6 +213,43 @@ impl IdSummary {
             }
         }
         other.exceptions.iter().all(|id| self.contains(*id))
+    }
+
+    /// The entries of `map` whose key is **not** a member, in key order.
+    ///
+    /// One range scan per client of `map`, starting at that client's
+    /// watermark: cost is O(#clients · log |map| + entries at or above the
+    /// watermarks), never O(|map|). Batched gossip (§10.4) builds its `R`
+    /// and `L` components this way against a peer's acknowledged
+    /// `known`/`stable` summaries.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::collections::BTreeMap;
+    /// use esds_core::{ClientId, IdSummary, OpId};
+    ///
+    /// let map: BTreeMap<OpId, ()> = (0..5).map(|s| (OpId::new(ClientId(0), s), ())).collect();
+    /// let acked = IdSummary::from_ids([0, 1, 3].map(|s| OpId::new(ClientId(0), s)));
+    /// let missing: Vec<u64> = acked.missing_from(&map).iter().map(|(id, _)| id.seq()).collect();
+    /// assert_eq!(missing, vec![2, 4]);
+    /// ```
+    pub fn missing_from<'a, V>(&self, map: &'a BTreeMap<OpId, V>) -> Vec<(&'a OpId, &'a V)> {
+        let mut out = Vec::new();
+        let mut next = map.keys().next();
+        while let Some(first) = next {
+            let c = first.client();
+            let last = OpId::new(c, u64::MAX);
+            out.extend(
+                map.range(OpId::new(c, self.watermark(c))..=last)
+                    .filter(|(id, _)| !self.exceptions.contains(id)),
+            );
+            next = map
+                .range((Bound::Excluded(last), Bound::Unbounded))
+                .next()
+                .map(|(id, _)| id);
+        }
+        out
     }
 
     /// Iterates over all members, client-major. The watermark part is
@@ -426,6 +472,21 @@ mod tests {
         // Difference against self / empty.
         assert!(a.difference(&a).is_empty());
         assert_eq!(a.difference(&IdSummary::new()), a);
+    }
+
+    #[test]
+    fn missing_from_scans_above_watermarks_per_client() {
+        let map: BTreeMap<OpId, u8> = [id(0, 0), id(0, 1), id(0, 2), id(1, 0), id(1, 4), id(3, 7)]
+            .into_iter()
+            .map(|i| (i, 0))
+            .collect();
+        let acked = IdSummary::from_ids([id(0, 0), id(0, 1), id(1, 4), id(2, 0)]);
+        let got: Vec<OpId> = acked.missing_from(&map).iter().map(|(i, _)| **i).collect();
+        assert_eq!(got, vec![id(0, 2), id(1, 0), id(3, 7)]);
+        assert!(IdSummary::from_ids(map.keys().copied())
+            .missing_from(&map)
+            .is_empty());
+        assert_eq!(IdSummary::new().missing_from(&map).len(), map.len());
     }
 
     #[test]

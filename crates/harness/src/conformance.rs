@@ -61,12 +61,12 @@ impl std::error::Error for ConformanceError {}
 
 /// Replays algorithm steps against an `ESDS-II` automaton (see module
 /// docs). Requires the system to run with witness recording and in-flight
-/// tracking enabled and no faults. Any gossip strategy works: delta
-/// strategies (incremental, batched) re-ship a label whenever it drops
-/// below the last value sent to that peer, so on the FIFO channels the
-/// simulator provides, an in-flight delta constrains the derived `po`
-/// exactly as the full snapshot would (`tests/sharded_conformance.rs`
-/// exercises this under batched gossip).
+/// tracking enabled and no faults. Any gossip strategy works: a batch
+/// carries the sender's current label of every operation its receiver has
+/// not reported stable, and omits only labels the receiver already holds
+/// final, so an in-flight batch constrains the derived `po` exactly as
+/// the full snapshot would (`tests/sharded_conformance.rs` exercises this
+/// under batched gossip).
 pub struct ConformanceObserver<T: SerialDataType + Clone> {
     spec: EsdsSpec<T>,
     users: Users<T::Operator>,

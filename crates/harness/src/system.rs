@@ -326,14 +326,10 @@ struct EsdsWorld<T: SerialDataType + Clone> {
     persistence: Vec<Option<Box<dyn esds_alg::Persistence<T>>>>,
     busy: Vec<SimTime>,
     isolated: Vec<bool>,
-    /// Per-replica incarnation counter, bumped at every crash; gossip
-    /// events carry both endpoints' values at send time so pre-crash
-    /// in-flight messages are dropped instead of crossing the crash.
-    /// Toward a recovered receiver, stale deltas could mark ops done
-    /// whose labels died with the crash (Invariant 7.5); from a dead
-    /// sender, a stale handshake could re-pollute the state the
-    /// receiver's `reset_watermark` just rewound, suppressing re-sends
-    /// the recovered incarnation still needs.
+    /// Per-replica crash counter, bumped at every crash; gossip events
+    /// carry both endpoints' values at send time so pre-crash in-flight
+    /// messages die with the crashed process's connections, as they do
+    /// over TCP.
     crash_epoch: Vec<u64>,
     front_ends: Vec<FrontEnd<T::Operator, T::Value>>,
     users: Users<T::Operator>,
@@ -512,6 +508,7 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
             &mut self.replicas[i],
             Slot::Crashed(esds_alg::RecoveryStub {
                 id: r,
+                incarnation: 0,
                 next_counter: 0,
                 local_min_labels: Vec::new(),
             }),
@@ -566,6 +563,7 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
                     &mut self.replicas[i],
                     Slot::Crashed(esds_alg::RecoveryStub {
                         id: r,
+                        incarnation: 0,
                         next_counter: 0,
                         local_min_labels: Vec::new(),
                     }),
@@ -582,6 +580,7 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
                     &mut self.replicas[i],
                     Slot::Crashed(esds_alg::RecoveryStub {
                         id: r,
+                        incarnation: 0,
                         next_counter: 0,
                         local_min_labels: Vec::new(),
                     }),
@@ -592,18 +591,11 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
                         self.config.n_replicas,
                         self.config.replica,
                     );
+                    // Peers need no reset: the recovered replica's first
+                    // handshake, under its new incarnation, replaces what
+                    // they hold of its pre-crash acknowledgements.
                     self.replicas[i] = Slot::Alive(Box::new(rep));
                     self.busy[i] = queue.now();
-                    // Peers restart their incremental watermarks: the next
-                    // gossip to the recovered replica is full ("requesting
-                    // new gossip", §9.3).
-                    for j in 0..self.config.n_replicas {
-                        if j != i {
-                            if let Slot::Alive(peer) = &mut self.replicas[j] {
-                                peer.reset_watermark(r);
-                            }
-                        }
-                    }
                 }
             }
             FaultEvent::Isolate(r) => self.isolated[r.0 as usize] = true,
@@ -713,13 +705,7 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 if n < 2 {
                     return;
                 }
-                // Isolated endpoints produce/receive nothing. Skipping
-                // *before* constructing the message matters for the delta
-                // strategies: make_gossip/poll_gossip irreversibly record
-                // what was shipped (incremental watermarks, batched
-                // handshake state), so building a message the fault model
-                // then drops would lose those deltas forever (Reconnect,
-                // unlike Recover, does not reset peers' watermarks).
+                // Isolated endpoints produce/receive nothing.
                 if self.isolated[from.0 as usize] {
                     return;
                 }
@@ -805,42 +791,14 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// # Panics
     ///
     /// Panics if the configuration is internally inconsistent (zero
-    /// replicas; broadcast combined with incremental gossip).
+    /// replicas; broadcast combined with batched gossip).
     pub fn new(dt: T, config: SystemConfig) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
         assert!(
             !(config.broadcast_gossip
                 && config.replica.gossip != esds_alg::GossipStrategy::Full),
-            "broadcast gossip sends one message to all peers; per-peer incremental/batched state cannot apply"
+            "broadcast gossip sends one message to all peers; per-peer batched pruning cannot apply"
         );
-        assert!(
-            !(config.rr_channel.loss_prob > 0.0
-                && config.replica.gossip != esds_alg::GossipStrategy::Full),
-            "delta gossip (incremental/batched) assumes reliable replica channels: a dropped \
-             message loses its deltas forever (the simulator, unlike the TCP transport, has no \
-             send-failure signal to trigger reset_watermark); use GossipStrategy::Full with lossy \
-             rr channels"
-        );
-        if config.replica.gossip == esds_alg::GossipStrategy::Batched {
-            // Batched exchanges additionally need *in-order* delivery:
-            // each batch carries a complete done/stable summary while the
-            // matching labels ship only once, so a later batch overtaking
-            // an earlier one can mark an op done before its label arrives
-            // (Invariant 7.5). Successive batches to one peer are
-            // batch_interval·g apart, so delivery is order-preserving iff
-            // the channel's delay spread is within that gap. (Incremental
-            // is not gated: its done/stable ids travel in the same
-            // message as their labels.)
-            let delay = config.rr_channel.delay;
-            let spread = delay.upper_bound().as_micros() - delay.lower_bound().as_micros();
-            let gap = config.gossip_interval.as_micros()
-                * u64::from(config.replica.batch_interval.max(1));
-            assert!(
-                spread <= gap,
-                "batched gossip needs FIFO replica channels: rr delay spread {spread}µs exceeds \
-                 the {gap}µs between successive batches, so batches could be reordered"
-            );
-        }
         let replicas = (0..config.n_replicas)
             .map(|i| {
                 Slot::Alive(Box::new(Replica::new(
@@ -1024,8 +982,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// (e.g. by `esds_store::DurableStore::open` over the surviving
     /// image), installing its backend alongside. The replica re-enters
     /// through the §9.3 gate — passive until it has gossiped with every
-    /// peer — and peers restart their incremental watermarks toward it,
-    /// like [`FaultEvent::Recover`].
+    /// peer — like [`FaultEvent::Recover`].
     ///
     /// # Panics
     ///
@@ -1043,14 +1000,6 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world.replicas[r] = Slot::Alive(Box::new(rep));
         self.world.persistence[r] = store;
         self.world.busy[r] = self.queue.now();
-        let id = ReplicaId(r as u32);
-        for j in 0..self.world.config.n_replicas {
-            if j != r {
-                if let Slot::Alive(peer) = &mut self.world.replicas[j] {
-                    peer.reset_watermark(id);
-                }
-            }
-        }
     }
 
     /// Runs until the given virtual time.
@@ -1525,16 +1474,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FIFO replica channels")]
-    fn reordering_channels_reject_batched() {
-        // uniform(1, 60) on a 20 ms gossip interval can reorder
-        // successive batches; the constructor must refuse.
-        let wide =
-            ChannelConfig::uniform(SimDuration::from_millis(1), SimDuration::from_millis(60));
+    fn batched_gossip_converges_on_lossy_reordering_channels_across_a_restart() {
+        // The channels the simulator used to refuse for batched gossip:
+        // replica links lose 20% and duplicate 10% of messages, and a
+        // 1–60 ms delay on a 20 ms tick reorders successive batches; one
+        // replica also crashes and recovers mid-run.
+        let rr = ChannelConfig::uniform(SimDuration::from_millis(1), SimDuration::from_millis(60))
+            .with_loss(0.2)
+            .with_dup(0.1);
         let cfg = SystemConfig::new(3)
-            .with_replica(ReplicaConfig::default().with_batched(1))
-            .with_channels(ChannelConfig::fixed(SimDuration::from_millis(5)), wide);
-        let _ = SimSystem::new(Counter, cfg);
+            .with_seed(43)
+            .with_channels(ChannelConfig::fixed(SimDuration::from_millis(5)), rr)
+            .with_retry(SimDuration::from_millis(50));
+        let mut sys = SimSystem::new(Counter, cfg);
+        let c = sys.add_client(0);
+        let ids: Vec<OpId> = (0..6)
+            .map(|i| sys.submit(c, CounterOp::Increment(1), &[], i % 3 == 0))
+            .collect();
+        sys.schedule_fault(SimTime::from_millis(150), FaultEvent::Crash(ReplicaId(1)));
+        sys.schedule_fault(SimTime::from_millis(300), FaultEvent::Recover(ReplicaId(1)));
+        let audit = sys.submit_at(SimTime::from_millis(400), c, CounterOp::Read, &ids, true);
+        sys.run_until_converged(SimTime::from_millis(60_000))
+            .expect("batches repair loss and reordering");
+        assert_eq!(sys.response(audit), Some(&CounterValue::Count(6)));
+        let states = sys.replica_states();
+        assert!(states.iter().all(|s| *s == 6), "diverged: {states:?}");
     }
 
     #[test]
@@ -1552,16 +1516,6 @@ mod tests {
         let id = sys.submit(c, CounterOp::Increment(3), &[], true);
         sys.run_until_quiescent();
         assert_eq!(sys.response(id), Some(&CounterValue::Ack));
-    }
-
-    #[test]
-    #[should_panic(expected = "delta gossip")]
-    fn lossy_channels_reject_batched() {
-        let lossy = ChannelConfig::fixed(SimDuration::from_millis(5)).with_loss(0.2);
-        let cfg = SystemConfig::new(3)
-            .with_replica(ReplicaConfig::default().with_batched(2))
-            .with_channels(ChannelConfig::fixed(SimDuration::from_millis(5)), lossy);
-        let _ = SimSystem::new(Counter, cfg);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
-use esds_alg::{check_all, GossipMsg, Replica, ReplicaConfig, SystemView};
+use esds_alg::{check_all, GossipMsg, GossipStrategy, Replica, ReplicaConfig, SystemView};
 use esds_core::{OpDescriptor, OpId, ReplicaId, SerialDataType};
 
 /// A bounded algorithm configuration for exhaustive exploration.
@@ -67,7 +67,9 @@ impl<T: SerialDataType> AlgScope<T> {
             pair_budgets: BTreeMap::new(),
             deliveries_per_message: 1,
             max_states: 200_000,
-            replica: ReplicaConfig::default(),
+            // The explorer delivers full snapshots, the messages the
+            // message-content invariants are stated for.
+            replica: ReplicaConfig::default().with_gossip(GossipStrategy::Full),
         }
     }
 

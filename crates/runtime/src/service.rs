@@ -4,7 +4,7 @@
 //! [`esds_alg::Replica`] state machine as the simulator; a network thread
 //! routes all messages and injects a configurable propagation delay,
 //! standing in for the paper's workstation network (Cheiner ran on
-//! MPI-connected Unix workstations; see `DESIGN.md` §2). Clients interact
+//! MPI-connected Unix workstations, paper §11.1). Clients interact
 //! through [`RuntimeClient`] handles that own a front end.
 
 use std::collections::BinaryHeap;

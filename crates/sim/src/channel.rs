@@ -30,16 +30,6 @@ pub enum DelayModel {
 }
 
 impl DelayModel {
-    /// The best-case delay of the model. `upper_bound − lower_bound` is
-    /// the reordering window: two messages sent `gap` apart can arrive
-    /// out of order iff the spread exceeds `gap`.
-    pub fn lower_bound(&self) -> SimDuration {
-        match self {
-            DelayModel::Fixed(d) => *d,
-            DelayModel::Uniform { lo, .. } => *lo,
-        }
-    }
-
     /// The worst-case delay of the model — the `d_ij` bound of Section 9.
     pub fn upper_bound(&self) -> SimDuration {
         match self {

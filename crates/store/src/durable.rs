@@ -324,6 +324,11 @@ where
                 .collect();
             let img = RestoreImage {
                 id,
+                // The generation this open starts exceeds every generation
+                // an earlier incarnation wrote. One that wrote nothing may
+                // share its number with this one, but then every descriptor
+                // and label it acknowledged holding is in this image.
+                incarnation: max_gen + 1,
                 next_counter,
                 prefix,
                 state,

@@ -68,17 +68,10 @@ impl ChaosConfig {
 
     /// Adds adjacent reordering on top of an existing fault model.
     ///
-    /// Reordering is safe for requests, responses, and the *snapshot*
-    /// gossip encodings (their merges are commutative and monotone), but
-    /// it violates the channel assumption of the **delta** gossip
-    /// strategies (§10.4 incremental/batched): those ship only what is
-    /// new since the last exchange, relying on the in-order delivery TCP
-    /// provides, so a stability summary overtaking the batch that
-    /// carried its labels breaks Invariant 7.5's bookkeeping. Do not put
-    /// a reordering proxy on delta-gossip links — the same rule as "a
-    /// dropped delta connection must rewind the watermark"
-    /// (`Replica::reset_watermark`), where reordering within a live
-    /// connection has no rewind trigger.
+    /// Every message kind tolerates it: requests, responses and snapshot
+    /// gossip merge commutatively, and each batched gossip exchange is
+    /// self-contained (pruned only by what the receiver acknowledged), so
+    /// an overtaken batch changes nothing.
     #[must_use]
     pub fn with_reordering(mut self, p: f64) -> Self {
         self.reorder_probability = p;
@@ -175,8 +168,8 @@ impl ChaosProxy {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let Ok(outbound) =
-                            TcpStream::connect_timeout(&target, Duration::from_millis(500))
+                        crate::tcp::set_up(&inbound);
+                        let Ok(outbound) = crate::tcp::dial(&target, Duration::from_millis(500))
                         else {
                             continue; // target down: drop the connection
                         };
@@ -540,24 +533,25 @@ mod tests {
 
     #[test]
     fn duplicated_batched_gossip_does_not_double_apply() {
-        // §10.4 batched gossip under heavy duplication of `GossipBatched`
-        // frames. The watermark handshake makes a batch idempotent
-        // (knowledge summaries are monotone, descriptor deltas are
-        // unions), so a duplicated batch must change nothing: the counter
-        // converges to *exactly* the sum of the increments — a double-
-        // applied delta would overshoot, and the strict audit pins the
-        // final value at every replica. (Reordering is deliberately NOT
-        // injected here: delta strategies assume the in-order delivery
-        // TCP provides — see `ChaosConfig::with_reordering`.)
-        let proxies =
-            exercise_gossip_chaos(esds_alg::ReplicaConfig::default().with_batched(2), |i| {
-                ChaosConfig::lossy(0.0, 900 + i as u64).with_duplication(0.4)
-            });
-        let dup: u64 = proxies.iter().map(|p| p.duplicated()).sum();
+        // The default configuration (batched gossip, one exchange per
+        // tick) with gossip frames lost, duplicated and reordered. Every
+        // batch is self-contained and every merge monotone, so a
+        // duplicated or overtaken batch changes nothing and a lost one is
+        // repaired by the next: the counter converges to *exactly* the sum
+        // of the increments — a double-applied batch would overshoot, and
+        // the strict audit pins the final value at every replica.
+        let proxies = exercise_gossip_chaos(esds_alg::ReplicaConfig::default(), |i| {
+            ChaosConfig::lossy(0.15, 900 + i as u64)
+                .with_duplication(0.3)
+                .with_reordering(0.3)
+        });
+        let faults = |f: fn(&ChaosProxy) -> u64| proxies.iter().map(f).sum::<u64>();
+        assert!(faults(ChaosProxy::dropped) > 0, "no frame was dropped");
         assert!(
-            dup > 0,
-            "the proxies should actually have duplicated frames"
+            faults(ChaosProxy::duplicated) > 0,
+            "no frame was duplicated"
         );
+        assert!(faults(ChaosProxy::reordered) > 0, "no frame was reordered");
         for p in proxies {
             p.shutdown();
         }
@@ -567,10 +561,9 @@ mod tests {
     fn reordered_snapshot_gossip_converges() {
         // Adjacent reordering (plus duplication) of full-snapshot gossip
         // frames: snapshot merges are commutative and monotone, so an
-        // overtaken frame must change nothing. This is the encoding a
-        // reordering network is *allowed* to carry — the delta
-        // strategies are not (`ChaosConfig::with_reordering`).
-        let proxies = exercise_gossip_chaos(esds_alg::ReplicaConfig::default(), |i| {
+        // overtaken frame must change nothing.
+        let full = esds_alg::ReplicaConfig::default().with_gossip(esds_alg::GossipStrategy::Full);
+        let proxies = exercise_gossip_chaos(full, |i| {
             ChaosConfig::lossy(0.0, 1700 + i as u64)
                 .with_duplication(0.2)
                 .with_reordering(0.3)
@@ -588,9 +581,9 @@ mod tests {
     #[test]
     fn cluster_converges_through_lossy_gossip_links() {
         // §9.3 on real sockets: all replica-to-replica gossip passes
-        // through proxies dropping 25% of frames; periodic full-snapshot
-        // gossip retransmits everything, so strict operations still
-        // complete and replicas converge.
+        // through proxies dropping 25% of frames; each batch re-ships
+        // whatever its receiver has not acknowledged, so strict operations
+        // still complete and replicas converge.
         let config = TcpClusterConfig::new(3);
         let listeners: Vec<TcpListener> = (0..3)
             .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())

@@ -382,8 +382,9 @@ impl Wire for IdSummary {
         let ex: Vec<OpId> = Vec::decode(buf)?;
         let mut s = IdSummary::new();
         for (c, w) in wm {
-            // Watermark w covers sequences 0..w; re-inserting is O(w) but
-            // bounded by MAX_COLLECTION_LEN via the member count below.
+            // Watermark w covers sequences 0..w. Bounded like a collection
+            // length: a receiver's summary difference walks the gap
+            // between two watermarks.
             if w > MAX_COLLECTION_LEN {
                 return Err(WireError::TooLarge {
                     context: "IdSummary watermark",
@@ -391,9 +392,7 @@ impl Wire for IdSummary {
                     max: MAX_COLLECTION_LEN,
                 });
             }
-            for seq in 0..w {
-                s.insert(OpId::new(c, seq));
-            }
+            s.raise_watermark(c, w);
         }
         s.extend(ex);
         Ok(s)

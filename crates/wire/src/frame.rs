@@ -41,11 +41,11 @@ pub enum FrameKind {
     Response = 2,
     /// A `⟨"gossip", R, D, L, S⟩` message (replica → replica).
     Gossip = 3,
-    /// A §10.2 summarized gossip message.
-    GossipSummary = 4,
     /// Connection preamble naming the sender (client or replica).
     Hello = 5,
-    /// A §10.4 batched gossip exchange (deltas + summary watermarks).
+    /// A §10.2/§10.4 batched gossip exchange (acknowledgement-pruned
+    /// `R`/`L`, summary `D`/`S`, and the `known` handshake). Tag 4, the
+    /// retired summarized snapshot, is no longer valid.
     GossipBatched = 6,
     /// A sharded-deployment request: a `ShardedOpId`-tagged descriptor
     /// plus the routing-table version the client routed under.
@@ -70,11 +70,10 @@ impl FrameKind {
     /// Every frame kind the protocol defines, in tag order. Exhaustive by
     /// construction — the round-trip tests iterate this so a new variant
     /// cannot be added without entering the coverage.
-    pub const ALL: [FrameKind; 12] = [
+    pub const ALL: [FrameKind; 11] = [
         FrameKind::Request,
         FrameKind::Response,
         FrameKind::Gossip,
-        FrameKind::GossipSummary,
         FrameKind::Hello,
         FrameKind::GossipBatched,
         FrameKind::ShardedRequest,
@@ -95,7 +94,6 @@ impl FrameKind {
             1 => Ok(FrameKind::Request),
             2 => Ok(FrameKind::Response),
             3 => Ok(FrameKind::Gossip),
-            4 => Ok(FrameKind::GossipSummary),
             5 => Ok(FrameKind::Hello),
             6 => Ok(FrameKind::GossipBatched),
             7 => Ok(FrameKind::ShardedRequest),

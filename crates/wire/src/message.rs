@@ -1,16 +1,15 @@
 //! The algorithm's message set as framed wire payloads.
 //!
-//! [`WireMessage`] covers the three message sets of paper §6.1 plus two
+//! [`WireMessage`] covers the three message sets of paper §6.1 — gossip
+//! both as the full snapshot and as the §10.2/§10.4 batch whose `D`, `S`
+//! and handshake travel as [`IdSummary`] watermark vectors — plus the
 //! transport-level extras: a connection [`Hello`](WireMessage::Hello)
-//! preamble, and the [`SummarizedGossip`] variant implementing the §10.2
-//! identifier summarization — `D` and `S` travel as [`IdSummary`]
-//! watermark vectors instead of flat id lists.
+//! preamble, the sharded request/response pair, and the stability and
+//! metrics probes.
 
 use bytes::{Buf, BufMut, BytesMut};
 use esds_alg::{BatchedGossipMsg, GossipMsg, RequestMsg, ResponseMsg};
-use esds_core::{
-    ClientId, IdSummary, Label, OpDescriptor, OpId, ReplicaId, RoutingTable, ShardedOpId,
-};
+use esds_core::{ClientId, IdSummary, OpDescriptor, OpId, ReplicaId, RoutingTable, ShardedOpId};
 
 use crate::codec::{get_u8, Wire};
 use crate::error::WireError;
@@ -47,58 +46,6 @@ impl Wire for HelloId {
                 tag,
             }),
         }
-    }
-}
-
-/// A gossip message with `D` and `S` carried as summaries (paper §10.2).
-///
-/// Lossless with respect to [`GossipMsg`]: [`SummarizedGossip::from_gossip`]
-/// followed by [`SummarizedGossip::into_gossip`] yields a message with the
-/// same sets (the `Vec` orderings are normalized to sorted).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SummarizedGossip<O> {
-    /// Sending replica.
-    pub from: ReplicaId,
-    /// `R`: operations the sender has received (descriptors are needed in
-    /// full — `prev` and `strict` cannot be summarized away).
-    pub rcvd: Vec<OpDescriptor<O>>,
-    /// `D`: ids done at the sender, as a summary.
-    pub done: IdSummary,
-    /// `L`: the sender's minimum labels.
-    pub labels: Vec<(OpId, Label)>,
-    /// `S`: ids stable at the sender, as a summary.
-    pub stable: IdSummary,
-}
-
-impl<O: Clone> SummarizedGossip<O> {
-    /// Summarizes a plain gossip message.
-    pub fn from_gossip(g: &GossipMsg<O>) -> Self {
-        SummarizedGossip {
-            from: g.from,
-            rcvd: g.rcvd.clone(),
-            done: g.done.iter().copied().collect(),
-            labels: g.labels.clone(),
-            stable: g.stable.iter().copied().collect(),
-        }
-    }
-
-    /// Expands back to the plain representation the replica consumes.
-    pub fn into_gossip(self) -> GossipMsg<O> {
-        GossipMsg {
-            from: self.from,
-            rcvd: self.rcvd,
-            done: self.done.iter().collect(),
-            labels: self.labels,
-            stable: self.stable.iter().collect(),
-        }
-    }
-
-    /// Approximate wire size in bytes using the same per-entry estimates as
-    /// [`GossipMsg::approx_bytes`], with `D`/`S` at their summary cost —
-    /// the quantity compared by the `tab_id_summary` experiment.
-    pub fn approx_bytes(&self) -> usize {
-        let desc_bytes: usize = self.rcvd.iter().map(OpDescriptor::approx_bytes).sum();
-        desc_bytes + self.done.approx_bytes() + 32 * self.labels.len() + self.stable.approx_bytes()
     }
 }
 
@@ -150,6 +97,8 @@ impl<O: Wire> Wire for GossipMsg<O> {
 impl<O: Wire> Wire for BatchedGossipMsg<O> {
     fn encode(&self, buf: &mut impl BufMut) {
         self.from.encode(buf);
+        self.incarnation.encode(buf);
+        self.acked.encode(buf);
         self.rcvd.encode(buf);
         self.done.encode(buf);
         self.labels.encode(buf);
@@ -159,30 +108,13 @@ impl<O: Wire> Wire for BatchedGossipMsg<O> {
     fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
         Ok(BatchedGossipMsg {
             from: ReplicaId::decode(buf)?,
+            incarnation: u64::decode(buf)?,
+            acked: u64::decode(buf)?,
             rcvd: Vec::decode(buf)?,
             done: IdSummary::decode(buf)?,
             labels: Vec::decode(buf)?,
             stable: IdSummary::decode(buf)?,
             known: IdSummary::decode(buf)?,
-        })
-    }
-}
-
-impl<O: Wire> Wire for SummarizedGossip<O> {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.from.encode(buf);
-        self.rcvd.encode(buf);
-        self.done.encode(buf);
-        self.labels.encode(buf);
-        self.stable.encode(buf);
-    }
-    fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        Ok(SummarizedGossip {
-            from: ReplicaId::decode(buf)?,
-            rcvd: Vec::decode(buf)?,
-            done: IdSummary::decode(buf)?,
-            labels: Vec::decode(buf)?,
-            stable: IdSummary::decode(buf)?,
         })
     }
 }
@@ -347,8 +279,6 @@ pub enum WireMessage<O, V> {
     Response(ResponseMsg<V>),
     /// Replica → replica, plain encoding.
     Gossip(GossipMsg<O>),
-    /// Replica → replica, §10.2 summarized encoding.
-    GossipSummary(SummarizedGossip<O>),
     /// Replica → replica, §10.4 batched exchange (deltas + watermark
     /// handshake).
     GossipBatched(BatchedGossipMsg<O>),
@@ -384,10 +314,6 @@ pub fn encode_message<O: Wire, V: Wire>(msg: &WireMessage<O, V>, out: &mut Bytes
         WireMessage::Gossip(m) => {
             m.encode(&mut payload);
             FrameKind::Gossip
-        }
-        WireMessage::GossipSummary(m) => {
-            m.encode(&mut payload);
-            FrameKind::GossipSummary
         }
         WireMessage::GossipBatched(m) => {
             m.encode(&mut payload);
@@ -430,7 +356,6 @@ pub fn decode_message<O: Wire, V: Wire>(frame: &Frame) -> Result<WireMessage<O, 
         FrameKind::Request => WireMessage::Request(RequestMsg::decode(&mut buf)?),
         FrameKind::Response => WireMessage::Response(ResponseMsg::decode(&mut buf)?),
         FrameKind::Gossip => WireMessage::Gossip(GossipMsg::decode(&mut buf)?),
-        FrameKind::GossipSummary => WireMessage::GossipSummary(SummarizedGossip::decode(&mut buf)?),
         FrameKind::GossipBatched => WireMessage::GossipBatched(BatchedGossipMsg::decode(&mut buf)?),
         FrameKind::Hello => WireMessage::Hello(HelloId::decode(&mut buf)?),
         FrameKind::ShardedRequest => {
@@ -459,6 +384,7 @@ pub fn decode_message<O: Wire, V: Wire>(frame: &Frame) -> Result<WireMessage<O, 
 mod tests {
     use super::*;
     use crate::frame::decode_frame;
+    use esds_core::Label;
     use esds_datatypes::{CounterOp, CounterValue};
 
     type Msg = WireMessage<CounterOp, CounterValue>;
@@ -567,34 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_gossip_is_lossless() {
-        let g = GossipMsg {
-            from: ReplicaId(0),
-            rcvd: vec![OpDescriptor::new(id(0, 2), CounterOp::Read)],
-            done: (0..50)
-                .map(|s| id(0, s))
-                .chain((0..30).map(|s| id(1, s)))
-                .collect(),
-            labels: vec![(id(0, 0), Label::new(3, ReplicaId(0)))],
-            stable: (0..49).map(|s| id(0, s)).collect(),
-        };
-        let s = SummarizedGossip::from_gossip(&g);
-        roundtrip(Msg::GossipSummary(s.clone()));
-        let back = s.clone().into_gossip();
-        assert_eq!(back.from, g.from);
-        assert_eq!(back.rcvd, g.rcvd);
-        let mut done = g.done.clone();
-        done.sort();
-        assert_eq!(back.done, done);
-        let mut stable = g.stable.clone();
-        stable.sort();
-        assert_eq!(back.stable, stable);
-    }
-
-    #[test]
     fn batched_gossip_roundtrip() {
         roundtrip(Msg::GossipBatched(BatchedGossipMsg {
             from: ReplicaId(2),
+            incarnation: 3,
+            acked: 1,
             rcvd: vec![OpDescriptor::new(id(0, 2), CounterOp::Increment(3)).with_prev([id(0, 1)])],
             done: IdSummary::from_ids((0..40).map(|s| id(0, s))),
             labels: vec![(id(0, 2), Label::new(7, ReplicaId(2)))],
@@ -605,14 +508,16 @@ mod tests {
 
     #[test]
     fn batched_wire_encoding_stays_compact_on_dense_history() {
-        // Same 1000-id history as summary_shrinks_dense_gossip: a batched
-        // steady-state exchange (no deltas, summaries + handshake only)
-        // encodes orders of magnitude below the snapshot.
+        // 1000 ids from 4 clients: a batched steady-state exchange
+        // (nothing unacknowledged, summaries + handshake only) encodes
+        // orders of magnitude below the snapshot.
         let ids: IdSummary = (0..4)
             .flat_map(|c| (0..250).map(move |s| id(c, s)))
             .collect();
         let b: BatchedGossipMsg<CounterOp> = BatchedGossipMsg {
             from: ReplicaId(0),
+            incarnation: 0,
+            acked: 0,
             rcvd: vec![],
             done: ids.clone(),
             labels: vec![],
@@ -637,39 +542,5 @@ mod tests {
             buf.len()
         };
         assert!(batched_len * 20 < plain_len, "{batched_len} vs {plain_len}");
-    }
-
-    #[test]
-    fn summary_shrinks_dense_gossip() {
-        // 1000 done ids from 4 clients: flat list ≈ 16 kB, summary ≈ 48 B.
-        let done: Vec<OpId> = (0..4)
-            .flat_map(|c| (0..250).map(move |s| id(c, s)))
-            .collect();
-        let g: GossipMsg<CounterOp> = GossipMsg {
-            from: ReplicaId(0),
-            rcvd: vec![],
-            done,
-            labels: vec![],
-            stable: vec![],
-        };
-        let s = SummarizedGossip::from_gossip(&g);
-        assert!(
-            s.approx_bytes() * 50 < g.approx_bytes(),
-            "summary {} vs plain {}",
-            s.approx_bytes(),
-            g.approx_bytes()
-        );
-        // And the real encodings agree with the estimate's direction.
-        let plain_len = {
-            let mut b = BytesMut::new();
-            encode_message::<_, CounterValue>(&Msg::Gossip(g), &mut b);
-            b.len()
-        };
-        let summary_len = {
-            let mut b = BytesMut::new();
-            encode_message::<_, CounterValue>(&Msg::GossipSummary(s), &mut b);
-            b.len()
-        };
-        assert!(summary_len * 20 < plain_len, "{summary_len} vs {plain_len}");
     }
 }

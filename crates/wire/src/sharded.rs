@@ -1449,10 +1449,9 @@ impl ShardLink {
         // concrete message type parameters are irrelevant here.
         encode_message::<u64, u64>(&WireMessage::Hello(HelloId::Client(client)), &mut hello);
         if self.conn.is_none() {
-            let Ok(mut s) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
+            let Ok(mut s) = crate::tcp::dial(&addr, Duration::from_millis(500)) else {
                 return;
             };
-            let _ = s.set_nodelay(true);
             let _ = s.set_nonblocking(true);
             if s.write_all(&hello).is_err() {
                 return;

@@ -46,8 +46,7 @@ pub type AddrTable = Arc<Mutex<Vec<SocketAddr>>>;
 use crate::codec::Wire;
 use crate::frame::decode_frame;
 use crate::message::{
-    decode_message, encode_message, HelloId, ShardedResponseMsg, StabilityInfoMsg,
-    SummarizedGossip, WireMessage,
+    decode_message, encode_message, HelloId, ShardedResponseMsg, StabilityInfoMsg, WireMessage,
 };
 
 /// Read-poll granularity: how often blocked readers check for shutdown.
@@ -60,8 +59,6 @@ pub struct TcpClusterConfig {
     pub n_replicas: usize,
     /// Gossip tick interval per node.
     pub gossip_interval: Duration,
-    /// Encode gossip with §10.2 id summaries ([`SummarizedGossip`]).
-    pub summarized_gossip: bool,
     /// Replica state-machine configuration.
     pub replica: ReplicaConfig,
     /// Observability plumbing (registry, prefix, tracer). Defaults to
@@ -70,22 +67,15 @@ pub struct TcpClusterConfig {
 }
 
 impl TcpClusterConfig {
-    /// Defaults: 5 ms gossip, plain gossip encoding, metrics disabled.
+    /// Defaults: 5 ms gossip, the default (batched) replica
+    /// configuration, metrics disabled.
     pub fn new(n_replicas: usize) -> Self {
         TcpClusterConfig {
             n_replicas,
             gossip_interval: Duration::from_millis(5),
-            summarized_gossip: false,
             replica: ReplicaConfig::default(),
             obs: NodeObs::default(),
         }
-    }
-
-    /// Enables the summarized gossip encoding.
-    #[must_use]
-    pub fn with_summarized_gossip(mut self) -> Self {
-        self.summarized_gossip = true;
-        self
     }
 
     /// Installs a metrics registry (and optionally a tracer) for every
@@ -404,6 +394,7 @@ fn read_connection<T>(
     T::Operator: Wire,
     T::Value: Wire,
 {
+    set_up(&stream);
     let _ = stream.set_read_timeout(Some(POLL));
     let mut reader = stream.try_clone().expect("clone stream");
     let mut buf = BytesMut::with_capacity(8 * 1024);
@@ -480,14 +471,6 @@ fn read_connection<T>(
                         WireMessage::Gossip(g) => {
                             if input_tx
                                 .send(NodeInput::Gossip(GossipEnvelope::Snapshot(g)))
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
-                        }
-                        WireMessage::GossipSummary(s) => {
-                            if input_tx
-                                .send(NodeInput::Gossip(GossipEnvelope::Snapshot(s.into_gossip())))
                                 .is_err()
                             {
                                 break 'conn;
@@ -658,11 +641,6 @@ where
                                     WireMessage::GossipBatched(b);
                                 encode_message(&msg, &mut out);
                             }
-                            GossipEnvelope::Snapshot(g) if config.summarized_gossip => {
-                                let msg: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::GossipSummary(SummarizedGossip::from_gossip(&g));
-                                encode_message(&msg, &mut out);
-                            }
                             GossipEnvelope::Snapshot(g) => {
                                 let msg: WireMessage<T::Operator, T::Value> =
                                     WireMessage::Gossip(g);
@@ -670,14 +648,11 @@ where
                             }
                         }
                         let peer_addr = addrs.lock()[p];
+                        // A failed send needs no repair: the next batch
+                        // re-ships whatever the peer has not acknowledged.
                         if send_to_peer(peer, peer_addr, id, &out) {
                             m_peers[p].0.inc();
                             m_peers[p].1.add(out.len() as u64);
-                        } else {
-                            // Connection failed: the §10.4 delta state
-                            // (incremental watermark / batched handshake)
-                            // must rewind so nothing is lost.
-                            rep.reset_watermark(pid);
                         }
                     }
                     if obs_enabled || !pending_stab.is_empty() {
@@ -782,6 +757,21 @@ where
         .expect("spawn core")
 }
 
+/// Socket set-up shared by every accept and dial site: `TCP_NODELAY`, so
+/// a small frame (a response, a gossip batch) leaves at once instead of
+/// waiting under Nagle's algorithm for the peer's delayed ACK (about
+/// 40 ms on Linux).
+pub(crate) fn set_up(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+}
+
+/// Dials `addr` within `timeout` and sets the stream up (see [`set_up`]).
+pub(crate) fn dial(addr: &SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(addr, timeout)?;
+    set_up(&stream);
+    Ok(stream)
+}
+
 /// Ensures a live outbound connection to a peer and writes `frame_bytes`.
 /// Returns false if the peer was unreachable or the write failed (the
 /// connection slot is cleared for a retry at the next tick). A slot dialed
@@ -796,9 +786,8 @@ fn send_to_peer(
         *slot = None;
     }
     if slot.is_none() {
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+        match dial(&addr, Duration::from_millis(200)) {
             Ok(mut s) => {
-                let _ = s.set_nodelay(true);
                 let mut hello = BytesMut::new();
                 encode_message::<NoOp, NoOp>(&WireMessage::Hello(HelloId::Replica(me)), &mut hello);
                 if s.write_all(&hello).is_err() {
@@ -996,8 +985,7 @@ where
             self.conns[idx] = None;
         }
         if self.conns[idx].is_none() {
-            if let Ok(mut s) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                let _ = s.set_nodelay(true);
+            if let Ok(mut s) = dial(&addr, Duration::from_millis(500)) {
                 let _ = s.set_read_timeout(Some(POLL));
                 let mut hello = BytesMut::new();
                 let h: WireMessage<T::Operator, T::Value> =
@@ -1200,12 +1188,19 @@ mod tests {
 
     #[test]
     fn cluster_roundtrip_plain_gossip() {
-        exercise(TcpClusterConfig::new(3));
+        let mut config = TcpClusterConfig::new(3);
+        config.replica = ReplicaConfig::default().with_gossip(esds_alg::GossipStrategy::Full);
+        exercise(config);
     }
 
     #[test]
-    fn cluster_roundtrip_summarized_gossip() {
-        exercise(TcpClusterConfig::new(3).with_summarized_gossip());
+    fn accepted_and_dialed_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = dial(&listener.local_addr().unwrap(), Duration::from_secs(1)).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        set_up(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        assert!(dialed.nodelay().unwrap());
     }
 
     #[test]

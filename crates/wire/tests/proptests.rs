@@ -51,18 +51,11 @@ fn message_of(kind: FrameKind) -> Msg {
             labels: vec![(id(1, 0), Label::new(4, ReplicaId(1)))],
             stable: vec![id(1, 0)],
         }),
-        FrameKind::GossipSummary => Msg::GossipSummary(esds_wire::SummarizedGossip::from_gossip(
-            &esds_alg::GossipMsg {
-                from: ReplicaId(0),
-                rcvd: vec![desc],
-                done: (0..20).map(|s| id(0, s)).collect(),
-                labels: vec![],
-                stable: (0..19).map(|s| id(0, s)).collect(),
-            },
-        )),
         FrameKind::Hello => Msg::Hello(HelloId::Client(ClientId(7))),
         FrameKind::GossipBatched => Msg::GossipBatched(esds_alg::BatchedGossipMsg {
             from: ReplicaId(2),
+            incarnation: 1,
+            acked: 2,
             rcvd: vec![desc],
             done: IdSummary::from_ids((0..10).map(|s| id(0, s))),
             labels: vec![(id(0, 3), Label::new(9, ReplicaId(2)))],

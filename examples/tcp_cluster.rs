@@ -6,26 +6,26 @@
 //! The replicas here run the *same* state machines as the simulator and
 //! the threaded runtime; only the transport differs. The example runs a
 //! small directory-service workload (the paper's §11.2 application) over
-//! three replica processes' worth of sockets, once with plain gossip and
-//! once with the §10.2 summarized-gossip encoding.
+//! three replica processes' worth of sockets, once with the paper's full
+//! snapshot gossip and once with the default batched exchange (§10.2 +
+//! §10.4).
 //!
 //! Run with `cargo run --example tcp_cluster`.
 
 use std::time::Duration;
 
+use esds::alg::GossipStrategy;
 use esds::datatypes::{Directory, DirectoryOp, DirectoryValue};
 use esds::wire::{TcpCluster, TcpClusterConfig};
 
 fn main() {
-    for summarized in [false, true] {
+    for (name, gossip) in [
+        ("full snapshot", GossipStrategy::Full),
+        ("batched", GossipStrategy::Batched),
+    ] {
         let mut config = TcpClusterConfig::new(3);
-        if summarized {
-            config = config.with_summarized_gossip();
-        }
-        println!(
-            "--- launching 3-replica TCP cluster ({} gossip) ---",
-            if summarized { "summarized" } else { "plain" }
-        );
+        config.replica = config.replica.with_gossip(gossip);
+        println!("--- launching 3-replica TCP cluster ({name} gossip) ---");
         run_directory_workload(config);
     }
 }

@@ -70,18 +70,20 @@ fn memoization_is_transparent_and_cheaper() {
     }
 }
 
+fn full() -> ReplicaConfig {
+    ReplicaConfig::default().with_gossip(GossipStrategy::Full)
+}
+
 #[test]
-fn incremental_gossip_matches_full_and_sends_less() {
-    // Fixed-delay channels are FIFO, the §10.4 requirement for incremental
-    // gossip.
+fn batched_gossip_matches_full_and_sends_less() {
     for seed in [2, 9] {
-        let (r_full, s_full, _) = run_counter(ReplicaConfig::default(), seed);
-        let (r_inc, s_inc, _) = run_counter(
-            ReplicaConfig::default().with_gossip(GossipStrategy::Incremental),
-            seed,
+        let (r_full, s_full, _) = run_counter(full(), seed);
+        let (r_batched, s_batched, _) = run_counter(ReplicaConfig::default(), seed);
+        assert_eq!(
+            r_full, r_batched,
+            "seed {seed}: batched gossip changed responses"
         );
-        assert_eq!(r_full, r_inc, "seed {seed}: incremental changed responses");
-        assert_eq!(s_full, s_inc);
+        assert_eq!(s_full, s_batched);
     }
     // Byte accounting (same workload, both to convergence).
     let bytes = |replica: ReplicaConfig| -> u64 {
@@ -95,19 +97,19 @@ fn incremental_gossip_matches_full_and_sends_less() {
         sys.run_until_quiescent();
         sys.gossip_traffic().1
     };
-    let full = bytes(ReplicaConfig::default());
-    let inc = bytes(ReplicaConfig::default().with_gossip(GossipStrategy::Incremental));
+    let full = bytes(full());
+    let batched = bytes(ReplicaConfig::default());
     assert!(
-        inc * 2 < full,
-        "incremental should cut gossip bytes at least in half: {inc} vs {full}"
+        batched * 2 < full,
+        "batched gossip should cut gossip bytes at least in half: {batched} vs {full}"
     );
 }
 
 #[test]
 fn gc_gossip_matches_full_and_sends_less() {
     for seed in [5, 12] {
-        let (r_full, s_full, _) = run_counter(ReplicaConfig::default(), seed);
-        let (r_gc, s_gc, _) = run_counter(ReplicaConfig::default().with_gc(), seed);
+        let (r_full, s_full, _) = run_counter(full(), seed);
+        let (r_gc, s_gc, _) = run_counter(full().with_gc(), seed);
         assert_eq!(r_full, r_gc, "seed {seed}: GC changed responses");
         assert_eq!(s_full, s_gc);
     }
@@ -159,7 +161,7 @@ fn commute_variant_matches_on_safeusers_workload() {
 #[test]
 fn broadcast_gossip_converges_with_fewer_messages() {
     let run = |broadcast: bool| -> (u64, Vec<i64>) {
-        let mut cfg = SystemConfig::new(4).with_seed(10);
+        let mut cfg = SystemConfig::new(4).with_seed(10).with_replica(full());
         cfg.broadcast_gossip = broadcast;
         let mut sys = SimSystem::new(Counter, cfg);
         let c = sys.add_client(0);

@@ -93,15 +93,13 @@ proptest! {
     }
 
     /// Configuration matrix: every combination of the §10 optimization
-    /// knobs (incremental gossip, gossip GC, memoization, broadcast) stays
-    /// safe and live under duplicating — and, for full gossip, lossy —
-    /// channels with front-end retries. Incremental gossip is only sound
-    /// on reliable channels (the paper's §10.4 FIFO/reliability caveat),
-    /// so loss is dropped for it.
+    /// knobs (the paper's full gossip instead of the batched default,
+    /// gossip GC, memoization, broadcast) stays safe and live under lossy,
+    /// duplicating and reordering channels with front-end retries.
     #[test]
     fn optimization_matrix_is_safe(
         seed in 0u64..400,
-        incremental in any::<bool>(),
+        full in any::<bool>(),
         gc in any::<bool>(),
         memo in any::<bool>(),
         broadcast in any::<bool>(),
@@ -110,16 +108,15 @@ proptest! {
     ) {
         let mut rc = if memo { ReplicaConfig::default() } else { ReplicaConfig::basic() };
         rc = rc.with_witness();
-        // Broadcast sends one message to all peers, so per-peer incremental
-        // state cannot apply (the harness rejects the combination).
-        let incremental = incremental && !broadcast;
-        if incremental {
-            rc = rc.with_gossip(esds_alg::GossipStrategy::Incremental);
+        // Broadcast sends one message to all peers, so per-peer batched
+        // pruning cannot apply (the harness rejects the combination).
+        if full || broadcast {
+            rc = rc.with_gossip(esds_alg::GossipStrategy::Full);
         }
         if gc {
             rc = rc.with_gc();
         }
-        let loss = if incremental { 0.0 } else { f64::from(loss_pct) / 100.0 };
+        let loss = f64::from(loss_pct) / 100.0;
         let ch = ChannelConfig::uniform(SimDuration::from_millis(1), SimDuration::from_millis(6))
             .with_loss(loss)
             .with_dup(f64::from(dup_pct) / 100.0);

@@ -12,7 +12,7 @@
 //! actions are still just `request(x)` actions.
 //!
 //! Running the whole thing under `GossipStrategy::Batched` additionally
-//! checks that the watermark-handshake deltas preserve every proof
+//! checks that acknowledgement-pruned batches preserve every proof
 //! obligation: the observer re-derives `po` from replica labels *and
 //! in-flight gossip* each step, so a batched exchange that dropped or
 //! reordered knowledge a snapshot would have carried shows up as a failed

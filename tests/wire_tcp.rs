@@ -46,8 +46,8 @@ fn bank_strict_withdrawals_over_sockets() {
 }
 
 #[test]
-fn queue_prev_chain_over_sockets_with_summarized_gossip() {
-    let mut cluster = TcpCluster::launch(Queue, TcpClusterConfig::new(2).with_summarized_gossip());
+fn queue_prev_chain_over_sockets_with_batched_gossip() {
+    let mut cluster = TcpCluster::launch(Queue, TcpClusterConfig::new(2));
     let mut producer = cluster.client();
     let mut consumer = cluster.client();
 
