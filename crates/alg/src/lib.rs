@@ -15,10 +15,13 @@
 //! * [`global`] — the derived whole-system variables of §6.4 (`ops`,
 //!   `minlabel`, `lc`, `mc`, `sc`, `po`);
 //! * [`invariants`] — Invariants 7.1–7.21, 8.1/8.3, and 10.1–10.5 as
-//!   executable checks over a [`SystemView`].
+//!   executable checks over a [`SystemView`];
+//! * [`ReplicaHost`] — what every deployment drives: a step's output is
+//!   released only after its optional [`Persistence`] store synced it.
 //!
 //! The state machines are deterministic; all scheduling (gossip timing,
-//! channel behaviour) lives in the harness/runtime driving them.
+//! channel behaviour) and I/O lives in the simulator, runtime or TCP
+//! driver around the host.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,6 +29,7 @@
 pub mod commute;
 pub mod front_end;
 pub mod global;
+pub mod host;
 pub mod invariants;
 pub mod messages;
 pub mod persist;
@@ -34,6 +38,7 @@ pub mod replica;
 pub use commute::SafeSubmitter;
 pub use front_end::{ClientDelivery, FrontEnd, RelayPolicy};
 pub use global::SystemView;
+pub use host::{PersistError, ReplicaHost, ReplicaQuery, StabilityCheck};
 pub use invariants::{check_all, InvariantViolation, MonotonicityChecker};
 pub use messages::{BatchedGossipMsg, GossipEnvelope, GossipMsg, RequestMsg, ResponseMsg};
 pub use persist::Persistence;

@@ -1,22 +1,22 @@
 //! The pluggable persistence hook a durable deployment drives.
 //!
-//! The replica automaton is sans-IO; durability is a *driver* concern.
-//! A driver (threaded runtime, TCP node, simulator) that wants durable
-//! replicas holds a [`Persistence`] backend per replica and calls
-//! [`Persistence::persist`] after every mutating input — request or
-//! gossip — **before** releasing the handler's effects (responses to
-//! clients, and by extension anything later gossip says about them).
-//! This sync-before-release discipline is the whole soundness argument:
-//! any fact another process can have observed about this replica is
-//! backed by its durable log, so a crash can only lose knowledge nobody
-//! was told about.
+//! The replica automaton is sans-IO; durability is a store attached to
+//! its [`ReplicaHost`](crate::ReplicaHost), the only caller of
+//! [`Persistence::persist`]. The host persists after every mutating step
+//! and returns the step's output (responses, a gossip envelope) only
+//! after it succeeded. This sync-before-release discipline is the whole
+//! soundness argument: any fact another process can have observed about
+//! this replica is backed by its durable log, so a crash can only lose
+//! knowledge nobody was told about.
 //!
-//! The backend decides internally when to cut a snapshot and truncate
-//! its log; the trait deliberately has a single method so drivers stay
-//! policy-free. Errors are strings (not a concrete store error type) to
-//! keep `esds-alg` free of storage dependencies; drivers treat any
-//! error as the replica's death — effects are dropped and the thread or
-//! simulated node stops, exactly as if the machine had lost power.
+//! Attaching a store turns on the replica's [`WalDelta`](crate::WalDelta)
+//! tracking ([`Replica::track_wal`]); the backend drains it
+//! ([`Replica::take_wal_delta`]) and decides internally when to cut a
+//! snapshot and truncate its log. Errors are strings to keep `esds-alg`
+//! free of storage dependencies; the host turns one into a
+//! [`PersistError`](crate::PersistError) that withholds the step's
+//! output, and the driver stops the replica, exactly as if its machine
+//! had lost power.
 
 use esds_core::SerialDataType;
 
@@ -30,7 +30,7 @@ pub trait Persistence<T: SerialDataType>: Send {
     ///
     /// # Errors
     ///
-    /// Any storage failure. The driver must not release the handler's
-    /// effects after an error — it treats the replica as crashed.
+    /// Any storage failure. The host then releases nothing of the step
+    /// and the driver treats the replica as crashed.
     fn persist(&mut self, replica: &mut Replica<T>) -> Result<(), String>;
 }

@@ -133,13 +133,6 @@ pub struct ReplicaConfig {
     /// trades response-time for 1/k the messages). Values below 1 are
     /// treated as 1.
     pub batch_interval: u32,
-    /// Track a per-handler [`WalDelta`] (ids admitted to `rcvd`, label
-    /// minima that changed) for a write-ahead log. Drivers drain it with
-    /// [`Replica::take_wal_delta`] after every mutating input and hand it
-    /// to a [`crate::Persistence`] backend *before* releasing the
-    /// handler's effects — the sync-before-release discipline that makes
-    /// §9.3 recovery from the log sound.
-    pub durable: bool,
 }
 
 impl Default for ReplicaConfig {
@@ -151,7 +144,6 @@ impl Default for ReplicaConfig {
             gc_gossip: false,
             record_witness: false,
             batch_interval: 1,
-            durable: false,
         }
     }
 }
@@ -202,14 +194,6 @@ impl ReplicaConfig {
     #[must_use]
     pub fn with_gc(mut self) -> Self {
         self.gc_gossip = true;
-        self
-    }
-
-    /// Enables write-ahead-log delta tracking (see
-    /// [`durable`](ReplicaConfig::durable)).
-    #[must_use]
-    pub fn with_durable(mut self) -> Self {
-        self.durable = true;
         self
     }
 }
@@ -449,8 +433,8 @@ pub struct Replica<T: SerialDataType> {
     /// replace a restarted replica's pre-crash acknowledgements.
     incarnation: u64,
 
-    /// Pending write-ahead-log delta (`Some` iff
-    /// [`ReplicaConfig::durable`]); see [`WalDelta`].
+    /// Pending write-ahead-log delta (`Some` while tracking is on, see
+    /// [`Replica::track_wal`]); see [`WalDelta`].
     wal_delta: Option<WalDelta>,
     /// Labels restored from stable storage after a crash (see
     /// [`RecoveryStub`]); consulted by `do_it`.
@@ -513,7 +497,7 @@ impl<T: SerialDataType> Replica<T> {
             stable_here_summary: IdSummary::new(),
             stable_label_max: None,
             incarnation: 0,
-            wal_delta: config.durable.then(WalDelta::default),
+            wal_delta: None,
             persisted_labels: BTreeMap::new(),
             recovering: None,
             dt,
@@ -627,11 +611,8 @@ impl<T: SerialDataType> Replica<T> {
         for l in r.persisted_labels.values() {
             r.gen.observe(*l);
         }
-        // The restore itself is already durable — drop its tracking.
+        // The restore itself is already durable.
         r.newly_done.clear();
-        if let Some(w) = &mut r.wal_delta {
-            *w = WalDelta::default();
-        }
         let peers: BTreeSet<ReplicaId> = (0..n as u32)
             .map(ReplicaId)
             .filter(|p| *p != img.id)
@@ -752,10 +733,20 @@ impl<T: SerialDataType> Replica<T> {
         std::mem::take(&mut self.newly_done)
     }
 
-    /// Drains the pending write-ahead-log delta (empty unless
-    /// [`ReplicaConfig::durable`] is set). Drivers call this after every
-    /// mutating input and persist the result before releasing the
-    /// handler's effects.
+    /// Turns [`WalDelta`] tracking on or off. Off (the default) records
+    /// nothing; turning it on starts from an empty delta. A
+    /// [`crate::ReplicaHost`] turns it on exactly when a store is
+    /// attached.
+    pub fn track_wal(&mut self, on: bool) {
+        if on != self.wal_delta.is_some() {
+            self.wal_delta = on.then(WalDelta::default);
+        }
+    }
+
+    /// Drains the pending write-ahead-log delta (empty unless tracking
+    /// is on, see [`Replica::track_wal`]). A store's
+    /// [`crate::Persistence::persist`] drains it after every mutating
+    /// input.
     pub fn take_wal_delta(&mut self) -> WalDelta {
         self.wal_delta
             .as_mut()
@@ -953,15 +944,6 @@ impl<T: SerialDataType> Replica<T> {
         self.stats.gossip_out += 1;
         self.stats.gossip_out_bytes += msg.approx_bytes() as u64;
         msg
-    }
-
-    /// Forgets `peer`'s acknowledgements, so the next batch to it carries
-    /// everything again. Never needed for correctness — batches are
-    /// pruned only by what the peer acknowledged, and a restarted peer's
-    /// new incarnation replaces its old acknowledgements — but a
-    /// transport may call it when it knows the peer lost its state.
-    pub fn reset_watermark(&mut self, peer: ReplicaId) {
-        self.batch.remove(&peer);
     }
 
     /// Produces the gossip message for `peer` under the configured
@@ -1809,7 +1791,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_reset_watermark_reships_everything() {
+    fn batched_lost_batch_reships_unacknowledged() {
         let cfg = ReplicaConfig::default().with_batched(1);
         let (mut a, mut b) = two_replicas(cfg);
         let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
@@ -1826,14 +1808,6 @@ mod tests {
         );
         let _ = b.on_gossip_envelope(GossipEnvelope::Batched(g2));
         assert!(b.done_here().contains(&id(0, 0)));
-        // Once b acknowledges, resetting the acks re-ships everything.
-        let _ = a.on_gossip_envelope(b.poll_gossip(ReplicaId(0)).expect("emitted"));
-        assert!(a.make_batched_gossip(ReplicaId(1)).rcvd.is_empty());
-        a.reset_watermark(ReplicaId(1));
-        let Some(GossipEnvelope::Batched(g3)) = a.poll_gossip(ReplicaId(1)) else {
-            panic!()
-        };
-        assert_eq!(g3.rcvd.len(), 1, "reset forgets the acknowledgements");
     }
 
     #[test]
@@ -1878,10 +1852,10 @@ mod tests {
         assert!(a.stable(ReplicaId(1)).contains(&id(0, 0)));
         // Exchange once more so a's label GC retires the stable label.
         let _ = b.on_batched_gossip(a.make_batched_gossip(ReplicaId(1)));
-        // b crashes and recovers; the harness protocol: peers reset.
+        // b crashes and recovers; its new incarnation's handshake makes
+        // a re-ship the labels without any reset.
         let stub = b.crash();
         let mut b = Replica::recover(Ctr, stub, 2, cfg);
-        a.reset_watermark(ReplicaId(1));
         for _ in 0..4 {
             sync_batched(&mut a, &mut b);
         }
@@ -2115,7 +2089,6 @@ mod tests {
         let fx = a.on_request(OpDescriptor::new(id(0, 1), Op::Read));
         assert!(fx.is_empty());
 
-        b.reset_watermark(ReplicaId(0));
         let g = b.make_gossip(ReplicaId(0));
         let fx = a.on_gossip(g);
         assert!(!a.is_recovering());
@@ -2144,7 +2117,6 @@ mod tests {
 
         // Full gossip from the only peer: it has never seen c0:0, so
         // recovery must stay open.
-        b.reset_watermark(ReplicaId(0));
         let _ = a.on_gossip(b.make_gossip(ReplicaId(0)));
         assert!(a.is_recovering(), "peer gossip lacks the labeled op");
 

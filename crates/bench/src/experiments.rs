@@ -486,7 +486,6 @@ fn wal_cost_run(
     let mut svc = match durable {
         None => esds_runtime::RuntimeService::start(KvStore, cfg),
         Some(snapshot_every) => {
-            cfg.replica = ReplicaConfig::default().with_durable();
             let _ = std::fs::remove_dir_all(&root);
             let replicas = (0..N)
                 .map(|r| {

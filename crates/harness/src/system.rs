@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use esds_alg::{
-    FrontEnd, GossipEnvelope, GossipMsg, RelayPolicy, Replica, ReplicaConfig, ReplicaStats,
-    RequestMsg, ResponseMsg, SystemView,
+    FrontEnd, GossipEnvelope, GossipMsg, PersistError, RecoveryStub, RelayPolicy, Replica,
+    ReplicaConfig, ReplicaHost, ReplicaStats, RequestMsg, RespondEffect, ResponseMsg, SystemView,
 };
 use esds_core::{ClientId, OpDescriptor, OpId, ReplicaId, SerialDataType};
 use esds_sim::{
@@ -311,19 +311,25 @@ pub struct OpTiming {
 }
 
 enum Slot<T: SerialDataType> {
-    Alive(Box<Replica<T>>),
-    Crashed(esds_alg::RecoveryStub),
+    /// A running replica in its host (with the replica's store, if one
+    /// was installed: see [`SimSystem::install_persistence`]).
+    Alive(Box<ReplicaHost<T>>),
+    Crashed(RecoveryStub),
+}
+
+impl<T: SerialDataType> Slot<T> {
+    fn replica(&self) -> Option<&Replica<T>> {
+        match self {
+            Slot::Alive(host) => Some(host.replica()),
+            Slot::Crashed(_) => None,
+        }
+    }
 }
 
 struct EsdsWorld<T: SerialDataType + Clone> {
     dt: T,
     config: SystemConfig,
     replicas: Vec<Slot<T>>,
-    /// Per-replica durable backends (see [`SimSystem::install_persistence`]).
-    /// A replica with a backend persists after every mutating handler,
-    /// before its effects enter the network; a persist failure crashes
-    /// the slot exactly like [`FaultEvent::Crash`].
-    persistence: Vec<Option<Box<dyn esds_alg::Persistence<T>>>>,
     busy: Vec<SimTime>,
     isolated: Vec<bool>,
     /// Per-replica crash counter, bumped at every crash; gossip events
@@ -361,9 +367,9 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
         )
     }
 
-    fn replica(&mut self, r: ReplicaId) -> Option<&mut Replica<T>> {
+    fn host(&mut self, r: ReplicaId) -> Option<&mut ReplicaHost<T>> {
         match &mut self.replicas[r.0 as usize] {
-            Slot::Alive(rep) => Some(rep),
+            Slot::Alive(host) => Some(host),
             Slot::Crashed(_) => None,
         }
     }
@@ -427,7 +433,7 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
         from: ReplicaId,
         to: ReplicaId,
         queue: &mut EventQueue<Event<T::Operator, T::Value>>,
-        msg: GossipEnvelope<T::Operator>,
+        msg: &GossipEnvelope<T::Operator>,
     ) {
         if self.isolated[from.0 as usize] || self.isolated[to.0 as usize] {
             return;
@@ -486,117 +492,87 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
             )
     }
 
-    /// Persists replica `r`'s pending delta through its installed
-    /// backend (no-op without one). Returns `false` if the persist
-    /// failed — the replica is then crashed in place (volatile state
-    /// lost, [`FaultEvent::Crash`] semantics) and the caller must drop
-    /// the handler's effects: a response whose log write failed was
-    /// never released.
-    fn persist_replica(&mut self, r: ReplicaId) -> bool {
-        let i = r.0 as usize;
-        let Some(store) = self.persistence[i].as_mut() else {
-            return true;
-        };
-        let Slot::Alive(rep) = &mut self.replicas[i] else {
-            return true;
-        };
-        if store.persist(rep).is_ok() {
-            return true;
-        }
-        self.persistence[i] = None;
-        if let Slot::Alive(rep) = std::mem::replace(
-            &mut self.replicas[i],
-            Slot::Crashed(esds_alg::RecoveryStub {
-                id: r,
-                incarnation: 0,
-                next_counter: 0,
-                local_min_labels: Vec::new(),
-            }),
-        ) {
-            self.replicas[i] = Slot::Crashed(rep.crash());
-            self.crash_epoch[i] += 1;
-        }
-        false
-    }
-
-    /// Handles replica output effects: transmit responses, update logs.
-    fn apply_effects(
+    /// Runs one mutating step on replica `r`'s host and releases its
+    /// output: responses go to their clients, newly-done operations are
+    /// noted for the Lemma 9.2 experiment. A persist failure crashes the
+    /// replica in place ([`FaultEvent::Crash`] semantics) and releases
+    /// nothing. No-op if `r` is crashed (the input died with it).
+    fn run_step(
         &mut self,
         r: ReplicaId,
         queue: &mut EventQueue<Event<T::Operator, T::Value>>,
-        effects: Vec<esds_alg::RespondEffect<T::Value>>,
+        step: impl FnOnce(&mut ReplicaHost<T>) -> Result<Vec<RespondEffect<T::Value>>, PersistError>,
     ) {
+        let Some(host) = self.host(r) else { return };
+        let Ok(effects) = step(host) else {
+            return self.crash(r);
+        };
+        for x in host.take_newly_done() {
+            let set = self.done_at.entry(x).or_default();
+            set.insert(r);
+            if set.len() == self.config.n_replicas {
+                if let Some(t) = self.op_times.get_mut(&x) {
+                    t.done_everywhere.get_or_insert(queue.now());
+                }
+            }
+        }
         for e in effects {
             self.responded.insert(e.msg.id);
-            self.responses_log
-                .push((e.msg.id, e.msg.value.clone(), e.msg.witness.clone()));
-            self.scratch.responses_computed.push((
-                e.msg.id,
-                e.msg.value.clone(),
-                e.msg.witness.clone(),
-            ));
+            let record = (e.msg.id, e.msg.value.clone(), e.msg.witness.clone());
+            self.responses_log.push(record.clone());
+            self.scratch.responses_computed.push(record);
             self.transmit_r2c(r, e.client, queue, e.msg);
         }
     }
 
-    /// Drains newly-done bookkeeping for the Lemma 9.2 experiment.
-    fn note_newly_done(&mut self, r: ReplicaId, now: SimTime) {
-        let n = self.config.n_replicas;
-        let Some(rep) = self.replica(r) else { return };
-        let newly = rep.take_newly_done();
-        for x in newly {
-            let set = self.done_at.entry(x).or_default();
-            set.insert(r);
-            if set.len() == n {
-                if let Some(t) = self.op_times.get_mut(&x) {
-                    t.done_everywhere.get_or_insert(now);
-                }
+    /// Moves slot `i` out, leaving a placeholder that is overwritten
+    /// before anything can observe it.
+    fn take_slot(&mut self, i: usize) -> Slot<T> {
+        let placeholder = Slot::Crashed(RecoveryStub {
+            id: ReplicaId(i as u32),
+            incarnation: 0,
+            next_counter: 0,
+            local_min_labels: Vec::new(),
+        });
+        std::mem::replace(&mut self.replicas[i], placeholder)
+    }
+
+    /// Crashes replica `r` with volatile memory: only its stable-storage
+    /// stub survives, its store is dropped, and in-flight messages to
+    /// the old incarnation die with its connections. No-op if crashed.
+    fn crash(&mut self, r: ReplicaId) {
+        let i = r.0 as usize;
+        self.replicas[i] = match self.take_slot(i) {
+            Slot::Alive(host) => {
+                self.crash_epoch[i] += 1;
+                Slot::Crashed(host.into_replica().crash())
             }
-        }
+            crashed => crashed,
+        };
     }
 
     fn apply_fault(&mut self, f: FaultEvent, queue: &mut EventQueue<Event<T::Operator, T::Value>>) {
         match f {
-            FaultEvent::Crash(r) => {
-                let i = r.0 as usize;
-                if let Slot::Alive(rep) = std::mem::replace(
-                    &mut self.replicas[i],
-                    Slot::Crashed(esds_alg::RecoveryStub {
-                        id: r,
-                        incarnation: 0,
-                        next_counter: 0,
-                        local_min_labels: Vec::new(),
-                    }),
-                ) {
-                    self.replicas[i] = Slot::Crashed(rep.crash());
-                    // In-flight messages to the old incarnation die with
-                    // its connections.
-                    self.crash_epoch[i] += 1;
-                }
-            }
+            FaultEvent::Crash(r) => self.crash(r),
             FaultEvent::Recover(r) => {
                 let i = r.0 as usize;
-                if let Slot::Crashed(stub) = std::mem::replace(
-                    &mut self.replicas[i],
-                    Slot::Crashed(esds_alg::RecoveryStub {
-                        id: r,
-                        incarnation: 0,
-                        next_counter: 0,
-                        local_min_labels: Vec::new(),
-                    }),
-                ) {
-                    let rep = Replica::recover(
-                        self.dt.clone(),
-                        stub,
-                        self.config.n_replicas,
-                        self.config.replica,
-                    );
-                    // Peers need no reset: the recovered replica's first
-                    // handshake, under its new incarnation, replaces what
-                    // they hold of its pre-crash acknowledgements.
-                    self.replicas[i] = Slot::Alive(Box::new(rep));
-                    self.busy[i] = queue.now();
-                }
+                self.replicas[i] = match self.take_slot(i) {
+                    Slot::Crashed(stub) => {
+                        let rep = Replica::recover(
+                            self.dt.clone(),
+                            stub,
+                            self.config.n_replicas,
+                            self.config.replica,
+                        );
+                        // Peers need no reset: the recovered replica's
+                        // first handshake, under its new incarnation,
+                        // replaces what they hold of its pre-crash
+                        // acknowledgements.
+                        self.busy[i] = queue.now();
+                        Slot::Alive(Box::new(ReplicaHost::new(rep, None)))
+                    }
+                    alive => alive,
+                };
             }
             FaultEvent::Isolate(r) => self.isolated[r.0 as usize] = true,
             FaultEvent::Reconnect(r) => self.isolated[r.0 as usize] = false,
@@ -625,32 +601,16 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 }
             }
             Event::DeliverRequest { to, msg } => {
-                if self.replica(to).is_none() {
+                if self.host(to).is_none() {
                     return; // crashed: message lost with the process
                 }
                 match self.finish_time(to, queue.now(), self.config.processing.request_cost) {
-                    None => {
-                        let fx = self
-                            .replica(to)
-                            .expect("alive checked")
-                            .on_request(msg.desc);
-                        if self.persist_replica(to) {
-                            self.apply_effects(to, queue, fx);
-                            self.note_newly_done(to, queue.now());
-                        }
-                    }
+                    None => self.run_step(to, queue, |h| h.on_request(msg.desc)),
                     Some(at) => queue.schedule_at(at, Event::ProcessRequest { at: to, msg }),
                 }
             }
             Event::ProcessRequest { at, msg } => {
-                if self.replica(at).is_none() {
-                    return;
-                }
-                let fx = self.replica(at).expect("alive").on_request(msg.desc);
-                if self.persist_replica(at) {
-                    self.apply_effects(at, queue, fx);
-                    self.note_newly_done(at, queue.now());
-                }
+                self.run_step(at, queue, |h| h.on_request(msg.desc));
             }
             Event::DeliverGossip {
                 to,
@@ -659,17 +619,11 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 epochs,
             } => {
                 self.in_flight_gossip.remove(&tag);
-                if self.gossip_is_stale(msg.from(), to, epochs) || self.replica(to).is_none() {
+                if self.gossip_is_stale(msg.from(), to, epochs) || self.host(to).is_none() {
                     return;
                 }
                 match self.finish_time(to, queue.now(), self.config.processing.gossip_cost) {
-                    None => {
-                        let fx = self.replica(to).expect("alive").on_gossip_envelope(msg);
-                        if self.persist_replica(to) {
-                            self.apply_effects(to, queue, fx);
-                            self.note_newly_done(to, queue.now());
-                        }
-                    }
+                    None => self.run_step(to, queue, |h| h.on_gossip_envelope(msg)),
                     Some(at) => queue.schedule_at(
                         at,
                         Event::ProcessGossip {
@@ -681,13 +635,8 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 }
             }
             Event::ProcessGossip { at, msg, epochs } => {
-                if self.gossip_is_stale(msg.from(), at, epochs) || self.replica(at).is_none() {
-                    return;
-                }
-                let fx = self.replica(at).expect("alive").on_gossip_envelope(msg);
-                if self.persist_replica(at) {
-                    self.apply_effects(at, queue, fx);
-                    self.note_newly_done(at, queue.now());
+                if !self.gossip_is_stale(msg.from(), at, epochs) {
+                    self.run_step(at, queue, |h| h.on_gossip_envelope(msg));
                 }
             }
             Event::DeliverResponse { to, msg } => {
@@ -716,37 +665,29 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 if peers.is_empty() {
                     return;
                 }
-                if self.config.broadcast_gossip {
-                    let Some(rep) = self.replica(from) else {
-                        return;
-                    };
-                    let msg = GossipEnvelope::Snapshot(rep.make_gossip(peers[0]));
-                    // Sync-before-release: a failing disk silences the
-                    // replica before the envelope enters the network.
-                    if !self.persist_replica(from) {
-                        return;
-                    }
+                let broadcast = self.config.broadcast_gossip;
+                let Some(host) = self.host(from) else {
+                    return;
+                };
+                // Broadcast sends one snapshot to every peer; batched
+                // strategies skip peers whose ticks are still accumulating.
+                // A failing disk silences the replica before anything
+                // enters the network.
+                let polled = if broadcast {
+                    let msg = host.make_gossip(peers[0]);
+                    msg.map(|g| vec![(peers, GossipEnvelope::Snapshot(g))])
+                } else {
+                    let poll = |p| Some(host.poll_gossip(p).transpose()?.map(|g| (vec![p], g)));
+                    peers.into_iter().filter_map(poll).collect()
+                };
+                let Ok(polled) = polled else {
+                    return self.crash(from);
+                };
+                for (to, msg) in polled {
                     self.gossip_messages_sent += 1;
                     self.gossip_bytes_sent += msg.approx_bytes() as u64;
-                    for p in peers {
-                        self.transmit_r2r(from, p, queue, msg.clone());
-                    }
-                } else {
-                    for p in peers {
-                        let Some(rep) = self.replica(from) else {
-                            return;
-                        };
-                        // Batched strategies skip ticks that are still
-                        // accumulating: no message, no bytes.
-                        let Some(msg) = rep.poll_gossip(p) else {
-                            continue;
-                        };
-                        if !self.persist_replica(from) {
-                            return;
-                        }
-                        self.gossip_messages_sent += 1;
-                        self.gossip_bytes_sent += msg.approx_bytes() as u64;
-                        self.transmit_r2r(from, p, queue, msg);
+                    for p in to {
+                        self.transmit_r2r(from, p, queue, &msg);
                     }
                 }
             }
@@ -801,12 +742,13 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         );
         let replicas = (0..config.n_replicas)
             .map(|i| {
-                Slot::Alive(Box::new(Replica::new(
+                let rep = Replica::new(
                     dt.clone(),
                     ReplicaId(i as u32),
                     config.n_replicas,
                     config.replica,
-                )))
+                );
+                Slot::Alive(Box::new(ReplicaHost::new(rep, None)))
             })
             .collect();
         let mut queue = EventQueue::new();
@@ -820,7 +762,6 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         }
         let world = EsdsWorld {
             dt,
-            persistence: (0..config.n_replicas).map(|_| None).collect(),
             busy: vec![SimTime::ZERO; config.n_replicas],
             isolated: vec![false; config.n_replicas],
             crash_epoch: vec![0; config.n_replicas],
@@ -942,47 +883,37 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.queue.schedule_at(at, Event::Fault(fault));
     }
 
-    /// Installs a durable backend for replica `r`. From now on the
-    /// replica persists after every mutating handler, *before* its
-    /// effects (responses, gossip) enter the simulated network — the
-    /// sync-before-release discipline of [`esds_alg::Persistence`]. A
-    /// persist failure (e.g. an armed `esds_store::CrashPlan`) crashes
-    /// the slot exactly like [`FaultEvent::Crash`]: the handler's
-    /// effects are dropped, volatile state is lost.
-    ///
-    /// The backend must have been opened for the *same* identity and an
-    /// *empty* disk, so its internal generation matches the fresh
-    /// replica it now shadows; a restart-from-disk goes through
-    /// [`SimSystem::replace_replica`] instead.
+    /// Attaches a durable backend to replica `r`'s host, which from now
+    /// on persists every step before its output enters the simulated
+    /// network. A persist failure (e.g. an armed `esds_store::CrashPlan`)
+    /// crashes the slot like [`FaultEvent::Crash`]. The backend must have
+    /// been opened for the same identity over an *empty* disk; a
+    /// restart-from-disk goes through [`SimSystem::replace_replica`].
     ///
     /// # Panics
     ///
-    /// Panics if the system was not configured with
-    /// `config.replica.durable` (the replica would not track its WAL
-    /// delta, making the log silently empty), if `r` is out of range,
-    /// or if replica `r` has already processed an operation.
+    /// Panics if `r` is out of range, crashed, or has already processed
+    /// an operation.
     pub fn install_persistence(&mut self, r: usize, store: Box<dyn esds_alg::Persistence<T>>) {
-        assert!(
-            self.world.config.replica.durable,
-            "install_persistence needs config.replica.durable (with_durable()): without it the \
-             replica does not track a WAL delta and nothing would ever be logged"
-        );
-        match &self.world.replicas[r] {
-            Slot::Alive(rep) => assert!(
-                rep.rcvd().is_empty() && rep.memo_order().is_empty(),
-                "install_persistence must run before replica {r} processes anything (earlier \
-                 inputs would be missing from the log)"
-            ),
+        self.world.replicas[r] = match self.world.take_slot(r) {
+            Slot::Alive(host) => {
+                let rep = host.into_replica();
+                assert!(
+                    rep.rcvd().is_empty() && rep.memo_order().is_empty(),
+                    "install_persistence must run before replica {r} processes anything \
+                     (earlier inputs would be missing from the log)"
+                );
+                Slot::Alive(Box::new(ReplicaHost::new(rep, Some(store))))
+            }
             Slot::Crashed(_) => panic!("replica {r} is crashed; use replace_replica"),
-        }
-        self.world.persistence[r] = Some(store);
+        };
     }
 
     /// Replaces a **crashed** slot with a replica recovered from disk
     /// (e.g. by `esds_store::DurableStore::open` over the surviving
-    /// image), installing its backend alongside. The replica re-enters
-    /// through the §9.3 gate — passive until it has gossiped with every
-    /// peer — like [`FaultEvent::Recover`].
+    /// image), hosted with its backend. The replica re-enters through
+    /// the §9.3 gate — passive until it has gossiped with every peer —
+    /// like [`FaultEvent::Recover`].
     ///
     /// # Panics
     ///
@@ -997,8 +928,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
             matches!(self.world.replicas[r], Slot::Crashed(_)),
             "replace_replica targets a crashed slot; crash replica {r} first"
         );
-        self.world.replicas[r] = Slot::Alive(Box::new(rep));
-        self.world.persistence[r] = store;
+        self.world.replicas[r] = Slot::Alive(Box::new(ReplicaHost::new(rep, store)));
         self.world.busy[r] = self.queue.now();
     }
 
@@ -1074,7 +1004,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
             .world
             .replicas
             .iter()
-            .all(|s| matches!(s, Slot::Alive(r) if !r.is_recovering()));
+            .all(|s| s.replica().is_some_and(|r| !r.is_recovering()));
         if !all_alive {
             return false;
         }
@@ -1086,13 +1016,11 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         if !all_answered {
             return false;
         }
-        self.world.replicas.iter().all(|s| match s {
-            Slot::Alive(r) => self
-                .world
-                .requested
-                .keys()
-                .all(|id| r.stable_everywhere().contains(id)),
-            Slot::Crashed(_) => false,
+        self.world.replicas.iter().all(|s| {
+            s.replica().is_some_and(|r| {
+                let stable = r.stable_everywhere();
+                self.world.requested.keys().all(|id| stable.contains(id))
+            })
         })
     }
 
@@ -1178,9 +1106,9 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// across the group. `false` while any replica is crashed (stability
     /// knowledge cannot be complete).
     pub fn op_is_stable_everywhere(&self, id: OpId) -> bool {
-        self.world.replicas.iter().all(|s| match s {
-            Slot::Alive(r) => r.stable_everywhere().contains(&id),
-            Slot::Crashed(_) => false,
+        self.world.replicas.iter().all(|s| {
+            s.replica()
+                .is_some_and(|r| r.stable_everywhere().contains(&id))
         })
     }
 
@@ -1234,13 +1162,12 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// A live borrow view for invariant checks. `None` if any replica is
     /// crashed or the system has no replicas.
     pub fn view(&self) -> Option<SystemView<'_, T>> {
-        let mut replicas = Vec::with_capacity(self.world.replicas.len());
-        for s in &self.world.replicas {
-            match s {
-                Slot::Alive(r) => replicas.push(&**r),
-                Slot::Crashed(_) => return None,
-            }
-        }
+        let replicas = self
+            .world
+            .replicas
+            .iter()
+            .map(Slot::replica)
+            .collect::<Option<Vec<_>>>()?;
         let mut waiting = BTreeSet::new();
         for f in &self.world.front_ends {
             waiting.extend(f.waiting_ids());
@@ -1264,10 +1191,8 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world
             .replicas
             .iter()
-            .filter_map(|s| match s {
-                Slot::Alive(r) => Some(r.local_order()),
-                Slot::Crashed(_) => None,
-            })
+            .filter_map(Slot::replica)
+            .map(Replica::local_order)
             .collect()
     }
 
@@ -1276,10 +1201,8 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world
             .replicas
             .iter()
-            .filter_map(|s| match s {
-                Slot::Alive(r) => Some(r.current_state()),
-                Slot::Crashed(_) => None,
-            })
+            .filter_map(Slot::replica)
+            .map(Replica::current_state)
             .collect()
     }
 
@@ -1288,9 +1211,9 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world
             .replicas
             .iter()
-            .map(|s| match s {
-                Slot::Alive(r) => r.stats(),
-                Slot::Crashed(_) => ReplicaStats::default(),
+            .map(|s| {
+                s.replica()
+                    .map_or_else(ReplicaStats::default, Replica::stats)
             })
             .collect()
     }
@@ -1558,5 +1481,22 @@ mod tests {
         sys.run_until_converged(SimTime::from_millis(5_000))
             .unwrap();
         assert_eq!(sys.response(id), Some(&CounterValue::Count(1)));
+    }
+
+    #[test]
+    fn recover_fault_leaves_a_live_replica_running() {
+        // `Recover` targets a crashed slot; on a live one it must not
+        // swap the running replica for a blank stub.
+        let mut sys = SimSystem::new(Counter, SystemConfig::new(3).with_seed(9));
+        let c = sys.add_client(0);
+        let inc = sys.submit(c, CounterOp::Increment(1), &[], false);
+        sys.run_for(SimDuration::from_millis(100));
+        sys.schedule_fault(sys.now(), FaultEvent::Recover(ReplicaId(0)));
+        sys.run_for(SimDuration::from_millis(10));
+        assert!(sys.all_replicas_alive());
+        let read = sys.submit(c, CounterOp::Read, &[inc], false);
+        sys.run_until_converged(sys.now() + SimDuration::from_secs(5))
+            .unwrap();
+        assert_eq!(sys.response(read), Some(&CounterValue::Count(1)));
     }
 }

@@ -16,7 +16,7 @@ use esds_store::{CrashPlan, DurableConfig, DurableStore, MemStorage};
 fn durable_config(seed: u64) -> SystemConfig {
     SystemConfig::new(3)
         .with_seed(seed)
-        .with_replica(ReplicaConfig::default().with_durable())
+        .with_replica(ReplicaConfig::default())
         .with_retry(SimDuration::from_millis(50))
 }
 
@@ -100,20 +100,4 @@ fn injected_crash_point_loses_power_and_recovery_rejoins() {
         Some(&CounterValue::Count(total as i64)),
         "a strict read after recovery must count every increment"
     );
-}
-
-#[test]
-#[should_panic(expected = "config.replica.durable")]
-fn install_persistence_requires_durable_replicas() {
-    let mut sys = SimSystem::new(Counter, SystemConfig::new(3).with_seed(1));
-    let (store, _rep, _) = DurableStore::open(
-        Counter,
-        MemStorage::new(),
-        ReplicaId(0),
-        3,
-        ReplicaConfig::default(),
-        DurableConfig::default(),
-    )
-    .expect("fresh open");
-    sys.install_persistence(0, Box::new(store));
 }

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use esds_alg::{
-    FrontEnd, GossipEnvelope, Persistence, RelayPolicy, Replica, ReplicaConfig, RequestMsg,
-    ResponseMsg,
+    FrontEnd, GossipEnvelope, Persistence, RelayPolicy, Replica, ReplicaConfig, ReplicaHost,
+    ReplicaQuery, RequestMsg, ResponseMsg,
 };
 use esds_core::{ClientId, OpId, ReplicaId, SerialDataType};
 use parking_lot::Mutex;
@@ -101,9 +101,23 @@ pub type OpFilter<T> = Box<dyn Fn(&<T as SerialDataType>::Operator) -> bool + Se
 enum ReplicaInput<T: SerialDataType> {
     Request(RequestMsg<T::Operator>),
     Gossip(Box<GossipEnvelope<T::Operator>>),
-    Inspect(Sender<ReplicaSnapshot<T>>),
-    CountUnstable(OpFilter<T>, Sender<usize>),
+    /// A read-only look at the replica, run between two steps.
+    Query(ReplicaQuery<T>),
     Shutdown,
+}
+
+/// Runs `f` on the replica behind `input` between two of its steps and
+/// returns the answer; `None` once the replica thread has stopped.
+fn query<T: SerialDataType, R: Send + 'static>(
+    input: &Sender<ReplicaInput<T>>,
+    f: impl FnOnce(&Replica<T>) -> R + Send + 'static,
+) -> Option<R> {
+    let (tx, rx) = bounded(1);
+    let ask = move |rep: &Replica<T>| {
+        let _ = tx.send(f(rep));
+    };
+    input.send(ReplicaInput::Query(Box::new(ask))).ok()?;
+    rx.recv().ok()
 }
 
 /// A point-in-time view of one replica's history, answered over the
@@ -153,10 +167,6 @@ type ClientRegistry<V> = std::sync::Arc<Mutex<Vec<Sender<ResponseMsg<V>>>>>;
 /// `ShardedService::start_durable`).
 pub type DurableReplica<T> = (Replica<T>, Box<dyn Persistence<T>>);
 
-/// A replica slot as the service threads run it: durable slots carry
-/// their backend, volatile slots `None`.
-type ReplicaSlot<T> = (Replica<T>, Option<Box<dyn Persistence<T>>>);
-
 /// A cheap cloneable handle for fetching [`ReplicaSnapshot`]s without
 /// borrowing the [`RuntimeService`] — what a background audit sidecar
 /// polls from its own thread.
@@ -172,7 +182,11 @@ impl<T: SerialDataType> Clone for InspectHandle<T> {
     }
 }
 
-impl<T: SerialDataType> InspectHandle<T> {
+impl<T> InspectHandle<T>
+where
+    T: SerialDataType + 'static,
+    T::Operator: Send,
+{
     /// Number of replicas behind this handle.
     pub fn n_replicas(&self) -> usize {
         self.inputs.len()
@@ -182,9 +196,15 @@ impl<T: SerialDataType> InspectHandle<T> {
     /// has shut down (the handle outliving the service is not an error
     /// for a sidecar — it just stops observing).
     pub fn snapshot(&self, replica: usize) -> Option<ReplicaSnapshot<T>> {
-        let (tx, rx) = bounded(1);
-        self.inputs[replica].send(ReplicaInput::Inspect(tx)).ok()?;
-        rx.recv().ok()
+        query(&self.inputs[replica], |rep: &Replica<T>| ReplicaSnapshot {
+            order: rep.local_order(),
+            stable_everywhere: rep.stable_everywhere().clone(),
+            ops: rep
+                .rcvd()
+                .iter()
+                .map(|(id, d)| (*id, d.op.clone()))
+                .collect(),
+        })
     }
 }
 
@@ -347,13 +367,13 @@ where
     pub fn start(dt: T, config: RuntimeConfig) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
         let n = config.n_replicas;
-        let replicas = (0..n)
+        let hosts = (0..n)
             .map(|i| {
                 let rep = Replica::new(dt.clone(), ReplicaId(i as u32), n, config.replica);
-                (rep, None)
+                ReplicaHost::new(rep, None)
             })
             .collect();
-        Self::start_replicas(config, replicas)
+        Self::start_hosts(config, hosts)
     }
 
     /// Starts the service over **pre-built** replicas, each paired with
@@ -384,9 +404,12 @@ where
             .flat_map(|(r, _)| r.rcvd().keys().map(|id| id.client().0 + 1))
             .max()
             .unwrap_or(0);
-        let mut svc = Self::start_replicas(
+        let mut svc = Self::start_hosts(
             config,
-            replicas.into_iter().map(|(r, s)| (r, Some(s))).collect(),
+            replicas
+                .into_iter()
+                .map(|(r, s)| ReplicaHost::new(r, Some(s)))
+                .collect(),
         );
         svc.next_client = floor;
         {
@@ -402,7 +425,7 @@ where
         svc
     }
 
-    fn start_replicas(config: RuntimeConfig, replicas: Vec<ReplicaSlot<T>>) -> Self {
+    fn start_hosts(config: RuntimeConfig, hosts: Vec<ReplicaHost<T>>) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
         let n = config.n_replicas;
         let (net_tx, net_rx) = unbounded::<NetInput<T>>();
@@ -411,7 +434,7 @@ where
         // Replica threads.
         let mut replica_inputs = Vec::with_capacity(n);
         let mut replica_threads = Vec::with_capacity(n);
-        for (i, (mut rep, mut store)) in replicas.into_iter().enumerate() {
+        for (i, mut host) in hosts.into_iter().enumerate() {
             let (tx, rx) = unbounded::<ReplicaInput<T>>();
             replica_inputs.push(tx);
             let net = net_tx.clone();
@@ -424,35 +447,28 @@ where
             let handle = std::thread::Builder::new()
                 .name(format!("esds-replica-{i}"))
                 .spawn(move || {
+                    let (me, n) = (host.replica().id(), host.replica().n());
                     let mut next_gossip = Instant::now() + interval;
+                    // A persist failure (`Err` from the host) stops the
+                    // thread: the replica is dead, its output dropped.
                     'run: loop {
                         let now = Instant::now();
                         if now >= next_gossip {
-                            for p in 0..rep.n() as u32 {
-                                let p = ReplicaId(p);
-                                if p == rep.id() {
-                                    continue;
-                                }
-                                // poll_gossip paces batched strategies:
-                                // accumulating ticks produce no message.
-                                let Some(g) = rep.poll_gossip(p) else {
-                                    continue;
+                            for p in (0..n as u32).map(ReplicaId).filter(|p| *p != me) {
+                                // Batched strategies pace themselves: an
+                                // accumulating tick produces no message.
+                                let Ok(polled) = host.poll_gossip(p) else {
+                                    break 'run;
                                 };
-                                // Sync-before-release: everything this
-                                // envelope says was logged by the handler
-                                // that learned it, but a failing disk must
-                                // silence the replica, not let it keep
-                                // gossiping facts it can no longer keep.
-                                if let Some(st) = store.as_mut() {
-                                    if st.persist(&mut rep).is_err() {
-                                        break 'run;
-                                    }
-                                }
+                                let Some(g) = polled else { continue };
                                 m_gossip_out.inc();
                                 let _ = net.send(NetInput::Msg(NetMsg {
                                     to: Endpoint::Replica(p),
                                     payload: Payload::Gossip(Box::new(g)),
                                 }));
+                            }
+                            for id in host.check_stability().stabilized {
+                                tracer.emit(0, &id.to_string(), esds_obs::Stage::Stabilize);
                             }
                             next_gossip = now + interval;
                         }
@@ -462,55 +478,26 @@ where
                             Err(RecvTimeoutError::Timeout) => continue,
                             Err(RecvTimeoutError::Disconnected) => break,
                         };
-                        let effects = match input {
+                        let stepped = match input {
                             ReplicaInput::Request(m) => {
                                 m_requests.inc();
                                 if tracer.is_enabled() {
-                                    tracer.emit(
-                                        0,
-                                        &m.desc.id.to_string(),
-                                        esds_obs::Stage::ReplicaAccept,
-                                    );
+                                    let ids = m.desc.id.to_string();
+                                    if tracer.sampled(&ids) {
+                                        tracer.emit(0, &ids, esds_obs::Stage::ReplicaAccept);
+                                        host.watch(m.desc.id);
+                                    }
                                 }
-                                rep.on_request(m.desc)
+                                host.on_request(m.desc)
                             }
-                            ReplicaInput::Gossip(g) => rep.on_gossip_envelope(*g),
-                            ReplicaInput::Inspect(tx) => {
-                                let _ = tx.send(ReplicaSnapshot {
-                                    order: rep.local_order(),
-                                    stable_everywhere: rep.stable_everywhere().clone(),
-                                    ops: rep
-                                        .rcvd()
-                                        .iter()
-                                        .map(|(id, d)| (*id, d.op.clone()))
-                                        .collect(),
-                                });
-                                Vec::new()
-                            }
-                            ReplicaInput::CountUnstable(filter, tx) => {
-                                let n = rep
-                                    .rcvd()
-                                    .iter()
-                                    .filter(|(id, d)| {
-                                        filter(&d.op) && !rep.stable_everywhere().contains(id)
-                                    })
-                                    .count();
-                                let _ = tx.send(n);
-                                Vec::new()
+                            ReplicaInput::Gossip(g) => host.on_gossip_envelope(*g),
+                            ReplicaInput::Query(f) => {
+                                f(host.replica());
+                                continue;
                             }
                             ReplicaInput::Shutdown => break,
                         };
-                        // Persist (append + sync) everything the handler
-                        // changed *before* releasing its responses: a
-                        // crash after this line re-delivers the answered
-                        // value from disk; a crash before it only loses
-                        // operations nobody was told about. On a storage
-                        // error the replica is dead — effects dropped.
-                        if let Some(st) = store.as_mut() {
-                            if st.persist(&mut rep).is_err() {
-                                break 'run;
-                            }
-                        }
+                        let Ok(effects) = stepped else { break 'run };
                         for e in effects {
                             let _ = net.send(NetInput::Msg(NetMsg {
                                 to: Endpoint::Client(e.client),
@@ -518,7 +505,7 @@ where
                             }));
                         }
                     }
-                    rep
+                    host.into_replica()
                 })
                 .expect("spawn replica thread");
             replica_threads.push(handle);
@@ -611,11 +598,9 @@ where
     ///
     /// Panics if `replica` is out of range or the service is shut down.
     pub fn snapshot(&self, replica: usize) -> ReplicaSnapshot<T> {
-        let (tx, rx) = bounded(1);
-        self.replica_inputs[replica]
-            .send(ReplicaInput::Inspect(tx))
-            .expect("replica thread alive");
-        rx.recv().expect("replica thread alive")
+        self.inspect_handle()
+            .snapshot(replica)
+            .expect("replica thread alive")
     }
 
     /// How many operations matching `filter` the replica has received
@@ -629,11 +614,14 @@ where
     ///
     /// Panics if `replica` is out of range or the service is shut down.
     pub fn count_unstable(&self, replica: usize, filter: OpFilter<T>) -> usize {
-        let (tx, rx) = bounded(1);
-        self.replica_inputs[replica]
-            .send(ReplicaInput::CountUnstable(filter, tx))
-            .expect("replica thread alive");
-        rx.recv().expect("replica thread alive")
+        let count = move |rep: &Replica<T>| {
+            let stable = rep.stable_everywhere();
+            rep.rcvd()
+                .iter()
+                .filter(|(id, d)| filter(&d.op) && !stable.contains(id))
+                .count()
+        };
+        query(&self.replica_inputs[replica], count).expect("replica thread alive")
     }
 
     /// Creates a new client attached (fixed policy) to replica
@@ -799,6 +787,31 @@ mod tests {
         let reps = svc.shutdown();
         let states: Vec<i64> = reps.iter().map(|r| r.current_state()).collect();
         assert!(states.iter().all(|s| *s == 5), "diverged: {states:?}");
+    }
+
+    #[test]
+    fn sampled_op_is_accepted_then_stabilized() {
+        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut cfg =
+            RuntimeConfig::new(3).with_tracer(esds_obs::OpTracer::to_shared_buffer(buf.clone(), 1));
+        cfg.net_delay = Duration::ZERO;
+        let mut svc = RuntimeService::start(Counter, cfg);
+        let mut c = svc.client();
+        let id = c.submit(CounterOp::Increment(1), &[], false);
+        assert!(c.await_response(id, Duration::from_secs(10)).is_some());
+        let span = |stage: &str| format!("\"id\":\"{id}\",\"stage\":\"{stage}\"");
+        let position = |stage: &str| {
+            let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+            text.lines().position(|l| l.contains(&span(stage)))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while position("stabilize").is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        svc.shutdown();
+        let accepted = position("replica_accept").expect("accept span");
+        let stabilized = position("stabilize").expect("stabilize span");
+        assert!(accepted < stabilized, "accept precedes stabilize");
     }
 
     #[test]

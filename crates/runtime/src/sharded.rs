@@ -508,9 +508,9 @@ struct Gather<T: KeyedDataType> {
     merged: Option<T::Value>,
 }
 
-impl<T: KeyedDataType> ShardedClient<T>
+impl<T: KeyedDataType + 'static> ShardedClient<T>
 where
-    T::Operator: Clone,
+    T::Operator: Clone + Send,
     T::Value: Clone,
 {
     /// The client identity (its shard-0 front end's id, used to mint

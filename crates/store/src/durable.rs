@@ -140,9 +140,9 @@ fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
 }
 
 /// The write-ahead log + snapshot engine for one replica, over any
-/// [`Storage`] backend. Drive it with [`DurableStore::persist`] after
-/// every mutating handler (the sync-before-release discipline of
-/// [`esds_alg::Persistence`]); it checkpoints itself per
+/// [`Storage`] backend. Attached to an [`esds_alg::ReplicaHost`], it is
+/// persisted after every mutating step (the sync-before-release
+/// discipline of [`esds_alg::Persistence`]); it checkpoints itself per
 /// [`DurableConfig::snapshot_every`].
 pub struct DurableStore<T: SerialDataType, S> {
     storage: S,
@@ -181,8 +181,8 @@ where
     /// the group through the §9.3 recovery gate (passive until every
     /// pre-crash label's op is re-received).
     ///
-    /// `config.durable` is forced on so the replica tracks its
-    /// [`esds_alg::WalDelta`].
+    /// The replica comes back tracking its [`esds_alg::WalDelta`]
+    /// ([`Replica::track_wal`]), ready to persist through this store.
     ///
     /// # Errors
     ///
@@ -195,10 +195,9 @@ where
         storage: S,
         id: ReplicaId,
         n: usize,
-        mut config: ReplicaConfig,
+        config: ReplicaConfig,
         cfg: DurableConfig,
     ) -> Result<(Self, Replica<T>, RecoverReport), StoreError> {
-        config.durable = true;
         let mut report = RecoverReport::default();
 
         let files = storage.list()?;
@@ -303,7 +302,7 @@ where
             .max()
             .unwrap_or(0);
 
-        let replica = if any_files {
+        let mut replica = if any_files {
             let next_counter = snapshot
                 .as_ref()
                 .map_or(0, |(_, s)| s.next_counter)
@@ -339,6 +338,7 @@ where
         } else {
             Replica::new(dt, id, n, config)
         };
+        replica.track_wal(true);
 
         let store = DurableStore {
             storage,

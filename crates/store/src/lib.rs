@@ -9,16 +9,17 @@
 //!   injectable [`CrashPlan`] crash-point / torn-write fault plane);
 //! * [`DurableStore`] — the engine: appends each handler's
 //!   [`esds_alg::WalDelta`] as length-prefixed FNV-checksummed records
-//!   over the [`esds_wire::Wire`] codec, syncs before the driver
-//!   releases effects, and checkpoints by snapshotting the §10.1 memo
+//!   over the [`esds_wire::Wire`] codec, syncs before the replica's
+//!   host releases effects, and checkpoints by snapshotting the §10.1 memo
 //!   prefix and truncating the log to the unstable suffix;
 //! * [`Snapshot`] — the memo-image file format;
 //! * [`RecoverReport`] — what [`DurableStore::open`] found: snapshot
 //!   generation, records replayed, torn tails dropped (with
 //!   diagnostics; *corrupt* records are refused, never skipped).
 //!
-//! The store implements [`esds_alg::Persistence`], so the threaded
-//! runtime, TCP nodes, and the simulator all drive it the same way.
+//! The store implements [`esds_alg::Persistence`]: the threaded
+//! runtime, TCP nodes, and the simulator all attach it to an
+//! [`esds_alg::ReplicaHost`], which drives it the same way everywhere.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -31,7 +31,7 @@ use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use esds_alg::{
     FrontEnd, GossipEnvelope, Persistence, RecoveryStub, RelayPolicy, Replica, ReplicaConfig,
-    RequestMsg,
+    ReplicaHost, ReplicaQuery, RequestMsg,
 };
 use esds_core::{ClientId, OpId, ReplicaId, RoutingTable, SerialDataType, ShardedOpId};
 use esds_obs::Stage;
@@ -131,8 +131,27 @@ impl NodeObs {
 enum NodeInput<T: SerialDataType> {
     Request(RequestMsg<T::Operator>),
     Gossip(GossipEnvelope<T::Operator>),
-    Inspect(Sender<StabilitySnapshot>),
+    /// A read-only look at the replica, run between two steps.
+    Query(ReplicaQuery<T>),
     Shutdown,
+}
+
+/// Fetches the node's [`StabilitySnapshot`] through its input channel
+/// (consistent: taken between two steps). `None` if the core has
+/// stopped or does not answer within `timeout`.
+fn query_stability<T: SerialDataType>(
+    input_tx: &Sender<NodeInput<T>>,
+    timeout: Duration,
+) -> Option<StabilitySnapshot> {
+    let (tx, rx) = crossbeam::channel::bounded(1);
+    let ask = move |rep: &Replica<T>| {
+        let _ = tx.send(StabilitySnapshot {
+            order: rep.local_order(),
+            stable_everywhere: rep.stable_everywhere().clone(),
+        });
+    };
+    input_tx.send(NodeInput::Query(Box::new(ask))).ok()?;
+    rx.recv_timeout(timeout).ok()
 }
 
 /// A replica's stability knowledge at one instant: its local label
@@ -195,16 +214,15 @@ where
         config: &TcpClusterConfig,
     ) -> Self {
         let rep = Replica::new(dt, id, config.n_replicas, config.replica);
-        Self::spawn_node(rep, listener, addrs, config, None, None)
+        Self::spawn_node(ReplicaHost::new(rep, None), listener, addrs, config, None)
     }
 
     /// Spawns a **durable** node over a pre-built replica and its
     /// persistence backend — the restart-from-disk entry point: open the
     /// replica's store (recovering whatever survives on disk), then hand
-    /// the recovered replica here. Every mutating input is persisted
-    /// (synced) before its response or gossip leaves the node; a persist
-    /// failure stops the core thread, exactly as if the machine had lost
-    /// power.
+    /// the recovered replica here. Its host persists every step before
+    /// its output leaves the node; a persist failure stops the core
+    /// thread, as if the machine had lost power.
     ///
     /// # Panics
     ///
@@ -217,7 +235,8 @@ where
         addrs: AddrTable,
         config: &TcpClusterConfig,
     ) -> Self {
-        Self::spawn_node(rep, listener, addrs, config, None, Some(store))
+        let host = ReplicaHost::new(rep, Some(store));
+        Self::spawn_node(host, listener, addrs, config, None)
     }
 
     /// Like [`TcpReplicaNode::spawn`], but shard-aware: `ShardedRequest`
@@ -233,8 +252,11 @@ where
         config: &TcpClusterConfig,
         shard: ShardCtx,
     ) -> Self {
-        let rep = Replica::new(dt, id, config.n_replicas, config.replica);
-        Self::spawn_node(rep, listener, addrs, config, Some(shard), None)
+        let host = ReplicaHost::new(
+            Replica::new(dt, id, config.n_replicas, config.replica),
+            None,
+        );
+        Self::spawn_node(host, listener, addrs, config, Some(shard))
     }
 
     /// Spawns a node recovering from a crash (paper §9.3): the replica
@@ -253,18 +275,17 @@ where
         config: &TcpClusterConfig,
     ) -> Self {
         let rep = Replica::recover(dt, stub, config.n_replicas, config.replica);
-        Self::spawn_node(rep, listener, addrs, config, None, None)
+        Self::spawn_node(ReplicaHost::new(rep, None), listener, addrs, config, None)
     }
 
     fn spawn_node(
-        rep: Replica<T>,
+        host: ReplicaHost<T>,
         listener: TcpListener,
         addrs: AddrTable,
         config: &TcpClusterConfig,
         shard: Option<ShardCtx>,
-        store: Option<Box<dyn Persistence<T>>>,
     ) -> Self {
-        let id = rep.id();
+        let id = host.replica().id();
         let addr = listener.local_addr().expect("listener address");
         let stop = Arc::new(AtomicBool::new(false));
         let (input_tx, input_rx) = unbounded::<NodeInput<T>>();
@@ -281,14 +302,13 @@ where
             config.obs.registry.clone(),
         );
         let core = spawn_core::<T>(
-            rep,
+            host,
             config.clone(),
             addrs,
             input_rx,
             clients,
             stop.clone(),
             shard,
-            store,
         );
 
         TcpReplicaNode {
@@ -310,9 +330,7 @@ where
     /// channel (consistent: taken between state-machine steps).
     /// `None` if the node is shutting down or wedged past `timeout`.
     pub fn stability(&self, timeout: Duration) -> Option<StabilitySnapshot> {
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        self.input_tx.send(NodeInput::Inspect(tx)).ok()?;
-        rx.recv_timeout(timeout).ok()
+        query_stability(&self.input_tx, timeout)
     }
 
     /// The address clients and peers connect to.
@@ -335,6 +353,27 @@ where
             .expect("core joined once")
             .join()
             .expect("replica core panicked")
+    }
+}
+
+/// Writes a reader-thread reply to client `to` through the
+/// registered-clients lock, so the frame cannot interleave with a
+/// response the core thread is writing to the same stream. An
+/// unregistered sender (no Hello yet) gets nothing; its retry loop
+/// re-sends.
+fn reply<T: SerialDataType>(
+    clients: &Mutex<HashMap<ClientId, TcpStream>>,
+    to: Option<ClientId>,
+    msg: WireMessage<T::Operator, T::Value>,
+) where
+    T::Operator: Wire,
+    T::Value: Wire,
+{
+    let Some(c) = to else { return };
+    let mut out = BytesMut::new();
+    encode_message(&msg, &mut out);
+    if let Some(w) = clients.lock().get_mut(&c) {
+        let _ = w.write_all(&out);
     }
 }
 
@@ -409,19 +448,17 @@ fn read_connection<T>(
                         Ok(m) => m,
                         Err(_) => break 'conn, // malformed payload: drop connection
                     };
-                    match msg {
+                    // Protocol inputs go to the core; queries are
+                    // answered from here.
+                    let input = match msg {
                         WireMessage::Hello(HelloId::Client(c)) => {
                             if let Ok(w) = stream.try_clone() {
                                 clients.lock().insert(c, w);
                                 registered = Some(c);
                             }
+                            None
                         }
-                        WireMessage::Hello(HelloId::Replica(_)) => {}
-                        WireMessage::Request(m) => {
-                            if input_tx.send(NodeInput::Request(m)).is_err() {
-                                break 'conn;
-                            }
-                        }
+                        WireMessage::Request(m) => Some(NodeInput::Request(m)),
                         WireMessage::ShardedRequest(m) => {
                             // A non-sharded node cannot version-check; the
                             // frame is a protocol error, drop the conn.
@@ -436,110 +473,66 @@ fn read_connection<T>(
                                     // routed under the table this shard
                                     // serves, so the key belongs here.
                                     ctx.globals.lock().insert(m.desc.id, m.global);
-                                    if input_tx
-                                        .send(NodeInput::Request(RequestMsg { desc: m.desc }))
-                                        .is_err()
-                                    {
-                                        break 'conn;
-                                    }
+                                    Some(NodeInput::Request(RequestMsg { desc: m.desc }))
                                 }
                                 Some(table) => {
                                     // NAK before the replica ever sees the
-                                    // descriptor. Written through the
-                                    // registered-clients lock so the frame
-                                    // cannot interleave with a response the
-                                    // core thread is writing to the same
-                                    // stream. An unregistered sender (no
-                                    // Hello yet) just gets nothing — its
-                                    // retry loop will resend.
-                                    let mut out = BytesMut::new();
-                                    let nak: WireMessage<T::Operator, T::Value> =
-                                        WireMessage::ShardedResponse(ShardedResponseMsg::Nak {
-                                            global: m.global,
-                                            table,
-                                        });
-                                    encode_message(&nak, &mut out);
-                                    if let Some(c) = registered {
-                                        let mut guard = clients.lock();
-                                        if let Some(w) = guard.get_mut(&c) {
-                                            let _ = w.write_all(&out);
-                                        }
-                                    }
+                                    // descriptor.
+                                    let nak = ShardedResponseMsg::Nak {
+                                        global: m.global,
+                                        table,
+                                    };
+                                    reply::<T>(
+                                        &clients,
+                                        registered,
+                                        WireMessage::ShardedResponse(nak),
+                                    );
+                                    None
                                 }
                             }
                         }
                         WireMessage::Gossip(g) => {
-                            if input_tx
-                                .send(NodeInput::Gossip(GossipEnvelope::Snapshot(g)))
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
+                            Some(NodeInput::Gossip(GossipEnvelope::Snapshot(g)))
                         }
                         WireMessage::GossipBatched(b) => {
-                            if input_tx
-                                .send(NodeInput::Gossip(GossipEnvelope::Batched(b)))
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
+                            Some(NodeInput::Gossip(GossipEnvelope::Batched(b)))
                         }
                         WireMessage::StabilityQuery => {
-                            // Answered from the reader thread: the snapshot
-                            // is fetched over the core's input channel (so
-                            // it is consistent) and written back through
-                            // the registered-clients lock (so the frame
-                            // cannot interleave with a response the core
-                            // thread is writing). A dropped or timed-out
-                            // probe is simply not answered — the client's
-                            // barrier loop re-queries.
-                            let (tx, rx) = crossbeam::channel::bounded(1);
-                            if input_tx.send(NodeInput::Inspect(tx)).is_err() {
-                                break 'conn;
+                            // Answered with a snapshot fetched over the
+                            // core's input channel (so it is consistent). A
+                            // dropped or timed-out probe is simply not
+                            // answered — the client's barrier loop
+                            // re-queries.
+                            if let Some(snap) = query_stability(&input_tx, Duration::from_secs(5)) {
+                                let info = StabilityInfoMsg {
+                                    order: snap.order,
+                                    stable_everywhere: snap.stable_everywhere.into_iter().collect(),
+                                };
+                                reply::<T>(&clients, registered, WireMessage::StabilityInfo(info));
                             }
-                            if let Ok(snap) = rx.recv_timeout(Duration::from_secs(5)) {
-                                let mut out = BytesMut::new();
-                                let info: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::StabilityInfo(StabilityInfoMsg {
-                                        order: snap.order,
-                                        stable_everywhere: snap
-                                            .stable_everywhere
-                                            .into_iter()
-                                            .collect(),
-                                    });
-                                encode_message(&info, &mut out);
-                                if let Some(c) = registered {
-                                    let mut guard = clients.lock();
-                                    if let Some(w) = guard.get_mut(&c) {
-                                        let _ = w.write_all(&out);
-                                    }
-                                }
-                            }
+                            None
                         }
                         WireMessage::MetricsQuery => {
-                            // Answered straight from the reader thread:
-                            // the registry is lock-free to read and
+                            // The registry is lock-free to read and
                             // process-global, so no core round-trip is
-                            // needed. Written through the registered-
-                            // clients lock like every other reply. A
-                            // node running with metrics disabled answers
-                            // an empty snapshot rather than erroring, so
-                            // pollers need not know the server's config.
-                            let mut out = BytesMut::new();
-                            let info: WireMessage<T::Operator, T::Value> =
-                                WireMessage::MetricsInfo(registry.snapshot());
-                            encode_message(&info, &mut out);
-                            if let Some(c) = registered {
-                                let mut guard = clients.lock();
-                                if let Some(w) = guard.get_mut(&c) {
-                                    let _ = w.write_all(&out);
-                                }
-                            }
+                            // needed. A node running with metrics disabled
+                            // answers an empty snapshot rather than
+                            // erroring, so pollers need not know the
+                            // server's config.
+                            let info = WireMessage::MetricsInfo(registry.snapshot());
+                            reply::<T>(&clients, registered, info);
+                            None
                         }
-                        WireMessage::Response(_)
+                        // A peer's Hello needs nothing; the rest is
+                        // nonsensical inbound.
+                        WireMessage::Hello(HelloId::Replica(_))
+                        | WireMessage::Response(_)
                         | WireMessage::ShardedResponse(_)
                         | WireMessage::StabilityInfo(_)
-                        | WireMessage::MetricsInfo(_) => {} // nonsensical inbound; ignore
+                        | WireMessage::MetricsInfo(_) => None,
+                    };
+                    if input.is_some_and(|i| input_tx.send(i).is_err()) {
+                        break 'conn;
                     }
                 }
                 Ok(None) => break,
@@ -561,16 +554,14 @@ fn read_connection<T>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_core<T>(
-    mut rep: Replica<T>,
+    mut host: ReplicaHost<T>,
     config: TcpClusterConfig,
     addrs: AddrTable,
     input_rx: Receiver<NodeInput<T>>,
     clients: Arc<Mutex<HashMap<ClientId, TcpStream>>>,
     stop: Arc<AtomicBool>,
     shard: Option<ShardCtx>,
-    mut store: Option<Box<dyn Persistence<T>>>,
 ) -> JoinHandle<Replica<T>>
 where
     T: SerialDataType + Send + 'static,
@@ -578,8 +569,8 @@ where
     T::Value: Wire + Send,
     T::State: Send,
 {
-    let id = rep.id();
-    let n = rep.n();
+    let id = host.replica().id();
+    let n = host.replica().n();
     // Metric handles resolve to no-ops when the registry is disabled;
     // the per-tick gauge math below is additionally gated on
     // `obs_enabled` so the disabled path costs one predictable branch.
@@ -606,11 +597,11 @@ where
             let mut peers: Vec<Option<(SocketAddr, TcpStream)>> = (0..n).map(|_| None).collect();
             let mut next_gossip = Instant::now() + config.gossip_interval;
             let mut out = BytesMut::new();
-            // Sampled in-flight ops awaiting a `stabilize` span, and the
-            // watermark-advance clock behind `stable_watermark_age_ms`.
-            let mut pending_stab: Vec<(OpId, String)> = Vec::new();
-            let mut last_stable_n = 0usize;
+            // When the stable-everywhere set last grew: the clock behind
+            // `stable_watermark_age_ms`.
             let mut last_advance = Instant::now();
+            // A persist failure (`Err` from the host) stops the core: the
+            // node is dead, its output dropped.
             'run: loop {
                 if stop.load(Ordering::SeqCst) {
                     break;
@@ -622,31 +613,18 @@ where
                         if pid == id {
                             continue;
                         }
-                        // poll_gossip paces batched strategies: a tick
+                        // Batched strategies pace themselves: a tick
                         // that is still accumulating sends nothing.
-                        let Some(env) = rep.poll_gossip(pid) else {
-                            continue;
+                        let Ok(polled) = host.poll_gossip(pid) else {
+                            break 'run;
                         };
-                        // Sync-before-release: a failing disk silences
-                        // the node before the envelope leaves it.
-                        if let Some(st) = store.as_mut() {
-                            if st.persist(&mut rep).is_err() {
-                                break 'run;
-                            }
-                        }
+                        let Some(env) = polled else { continue };
                         out.clear();
-                        match env {
-                            GossipEnvelope::Batched(b) => {
-                                let msg: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::GossipBatched(b);
-                                encode_message(&msg, &mut out);
-                            }
-                            GossipEnvelope::Snapshot(g) => {
-                                let msg: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::Gossip(g);
-                                encode_message(&msg, &mut out);
-                            }
-                        }
+                        let msg: WireMessage<T::Operator, T::Value> = match env {
+                            GossipEnvelope::Batched(b) => WireMessage::GossipBatched(b),
+                            GossipEnvelope::Snapshot(g) => WireMessage::Gossip(g),
+                        };
+                        encode_message(&msg, &mut out);
                         let peer_addr = addrs.lock()[p];
                         // A failed send needs no repair: the next batch
                         // re-ships whatever the peer has not acknowledged.
@@ -655,26 +633,17 @@ where
                             m_peers[p].1.add(out.len() as u64);
                         }
                     }
-                    if obs_enabled || !pending_stab.is_empty() {
-                        let stable_n = rep.stable_everywhere().len();
-                        if stable_n > last_stable_n {
-                            last_stable_n = stable_n;
+                    if obs_enabled || host.is_watching() {
+                        let check = host.check_stability();
+                        if check.advanced {
                             last_advance = now;
                         }
                         if obs_enabled {
                             m_wm_age.set(last_advance.elapsed().as_millis() as u64);
-                            m_unstable.set(rep.rcvd().len().saturating_sub(stable_n) as u64);
+                            m_unstable.set(check.unstable as u64);
                         }
-                        if !pending_stab.is_empty() {
-                            let se = rep.stable_everywhere();
-                            pending_stab.retain(|(opid, s)| {
-                                if se.contains(opid) {
-                                    tracer.emit(trace_shard, s, Stage::Stabilize);
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
+                        for opid in check.stabilized {
+                            tracer.emit(trace_shard, &opid.to_string(), Stage::Stabilize);
                         }
                     }
                     next_gossip = now + config.gossip_interval;
@@ -685,40 +654,29 @@ where
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => break,
                 };
-                let effects = match input {
+                let stepped = match input {
                     NodeInput::Request(m) => {
                         m_requests.inc();
                         if tracer.is_enabled() {
                             let ids = m.desc.id.to_string();
                             if tracer.sampled(&ids) {
                                 tracer.emit(trace_shard, &ids, Stage::ReplicaAccept);
-                                pending_stab.push((m.desc.id, ids));
+                                host.watch(m.desc.id);
                             }
                         }
-                        rep.on_request(m.desc)
+                        host.on_request(m.desc)
                     }
                     NodeInput::Gossip(g) => {
                         m_gossip_in.inc();
-                        rep.on_gossip_envelope(g)
+                        host.on_gossip_envelope(g)
                     }
-                    NodeInput::Inspect(tx) => {
-                        let _ = tx.send(StabilitySnapshot {
-                            order: rep.local_order(),
-                            stable_everywhere: rep.stable_everywhere().clone(),
-                        });
-                        Vec::new()
+                    NodeInput::Query(f) => {
+                        f(host.replica());
+                        continue;
                     }
                     NodeInput::Shutdown => break,
                 };
-                // Persist (append + sync) the handler's changes before
-                // any response frame is written — a crash after this
-                // point re-delivers the answered value from disk; a
-                // persist failure is the node's death, effects dropped.
-                if let Some(st) = store.as_mut() {
-                    if st.persist(&mut rep).is_err() {
-                        break 'run;
-                    }
-                }
+                let Ok(effects) = stepped else { break 'run };
                 for e in effects {
                     m_responses.inc();
                     if tracer.is_enabled() {
@@ -752,7 +710,7 @@ where
                     }
                 }
             }
-            rep
+            host.into_replica()
         })
         .expect("spawn core")
 }

@@ -46,9 +46,7 @@ const N_REPLICAS: usize = 3;
 type Groups = Vec<Vec<(Replica<KvStore>, Box<dyn Persistence<KvStore>>)>>;
 
 fn runtime_config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::new(N_REPLICAS);
-    cfg.replica = ReplicaConfig::default().with_durable();
-    cfg
+    RuntimeConfig::new(N_REPLICAS)
 }
 
 /// Opens every `(shard, replica)` store under `root`. When

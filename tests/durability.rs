@@ -72,7 +72,7 @@ fn open_group(
 
 fn durable_runtime_config() -> RuntimeConfig {
     let mut cfg = RuntimeConfig::new(N_REPLICAS);
-    cfg.replica = ReplicaConfig::default().with_durable();
+    cfg.replica = ReplicaConfig::default();
     cfg
 }
 
@@ -288,7 +288,7 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
 fn durable_replicas_conform_to_esds2() {
     let cfg = SystemConfig::new(3)
         .with_seed(77)
-        .with_replica(ReplicaConfig::default().with_witness().with_durable())
+        .with_replica(ReplicaConfig::default().with_witness())
         .with_tracking();
     let mut sys = SimSystem::new(Counter, cfg);
     let mut disks = Vec::new();
